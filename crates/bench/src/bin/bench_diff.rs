@@ -1,54 +1,33 @@
-//! `bench_diff` — compares benchmark runs against the committed
-//! `BENCH_*.json` trajectory.
+//! `bench_diff` — pins a same-run ratio between two criterion benches.
 //!
 //! ```text
-//! bench_diff compare BASELINE CURRENT [--tolerance FACTOR]
-//!     For every bench present in both inputs, fail (exit 1) when
-//!     current_median > baseline_median * FACTOR (default 3.0 — a
-//!     cross-machine sanity band that catches order-of-magnitude
-//!     regressions, not single-digit noise).
-//!
 //! bench_diff ratio INPUT NUM DEN [--max RATIO]
-//!     Fail when INPUT's bench NUM is more than RATIO times its bench
-//!     DEN (default 1.10). Same-run ratios are machine-independent;
-//!     this is how CI pins the ledger/trace disabled-path overhead.
-//!
-//! bench_diff parse INPUT
-//!     Print the normalized {"benches": {...}} JSON for INPUT.
+//!     Fail (exit 1) when INPUT's bench NUM is more than RATIO times
+//!     its bench DEN (default 1.10). Same-run ratios are
+//!     machine-independent; this is how CI pins the ledger/trace
+//!     disabled-path overhead.
 //! ```
 //!
-//! Inputs are auto-detected: either a committed `BENCH_*.json`
-//! trajectory file (`{"benches": {name: {"median_ns": n, ...}}}`) or
-//! raw criterion-shim output (`bench NAME: median T per iter (N
-//! samples)` lines, as emitted by `cargo bench`).
+//! INPUT is raw criterion-shim output (`bench NAME: median T per iter
+//! (N samples)` lines, as emitted by `cargo bench`). Absolute numbers
+//! and trajectories are panobench's job (`bash benchmark/run.sh`).
 
-use serde::Value;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_diff compare BASELINE CURRENT [--tolerance FACTOR]\n\
-         \x20      bench_diff ratio INPUT NUM DEN [--max RATIO]\n\
-         \x20      bench_diff parse INPUT"
-    );
+    eprintln!("usage: bench_diff ratio INPUT NUM DEN [--max RATIO]");
     std::process::exit(2);
 }
 
-/// One parsed benchmark: median nanoseconds and sample count.
-#[derive(Clone, Copy, Debug)]
-struct Bench {
-    median_ns: u64,
-    samples: u64,
-}
-
-/// Parses one criterion-shim output line:
-/// `bench NAME: median 14.776 ms per iter (20 samples)`.
-fn parse_criterion_line(line: &str) -> Option<(String, Bench)> {
+/// Parses one criterion-shim output line,
+/// `bench NAME: median 14.776 ms per iter (20 samples)`, into the bench
+/// name and its median in nanoseconds.
+fn parse_criterion_line(line: &str) -> Option<(String, u64)> {
     let rest = line.trim().strip_prefix("bench ")?;
     let (name, rest) = rest.split_once(": median ")?;
     let (time, rest) = rest.split_once(" per iter (")?;
-    let samples: u64 = rest.strip_suffix(" samples)")?.trim().parse().ok()?;
+    let _samples: u64 = rest.strip_suffix(" samples)")?.trim().parse().ok()?;
     let (value, unit) = time.trim().split_once(' ')?;
     let value: f64 = value.parse().ok()?;
     let scale = match unit {
@@ -58,67 +37,17 @@ fn parse_criterion_line(line: &str) -> Option<(String, Bench)> {
         "s" => 1e9,
         _ => return None,
     };
-    Some((
-        name.to_string(),
-        Bench {
-            median_ns: (value * scale).round() as u64,
-            samples,
-        },
-    ))
+    Some((name.to_string(), (value * scale).round() as u64))
 }
 
-/// Loads either input format into a name → bench map.
-fn load(path: &str) -> Result<BTreeMap<String, Bench>, String> {
+/// Loads criterion output into a name → median-nanoseconds map.
+fn load(path: &str) -> Result<BTreeMap<String, u64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // A trajectory file is a JSON object with a "benches" key.
-    if let Ok(v) = serde_json::from_str(&text) {
-        if let Some(Value::Object(benches)) = v.get("benches").cloned() {
-            let mut out = BTreeMap::new();
-            for (name, b) in &benches {
-                let median = b
-                    .get("median_ns")
-                    .and_then(Value::as_u64)
-                    .ok_or_else(|| format!("{path}: bench {name} has no median_ns"))?;
-                let samples = b.get("samples").and_then(Value::as_u64).unwrap_or(0);
-                out.insert(
-                    name.clone(),
-                    Bench {
-                        median_ns: median,
-                        samples,
-                    },
-                );
-            }
-            return Ok(out);
-        }
-    }
-    // Otherwise treat it as raw criterion output.
-    let out: BTreeMap<String, Bench> = text.lines().filter_map(parse_criterion_line).collect();
+    let out: BTreeMap<String, u64> = text.lines().filter_map(parse_criterion_line).collect();
     if out.is_empty() {
-        return Err(format!(
-            "{path}: neither a BENCH_*.json trajectory nor criterion output"
-        ));
+        return Err(format!("{path}: no criterion bench lines"));
     }
     Ok(out)
-}
-
-fn benches_json(benches: &BTreeMap<String, Bench>) -> Value {
-    Value::Object(vec![(
-        "benches".to_string(),
-        Value::Object(
-            benches
-                .iter()
-                .map(|(name, b)| {
-                    (
-                        name.clone(),
-                        Value::Object(vec![
-                            ("median_ns".to_string(), Value::UInt(b.median_ns)),
-                            ("samples".to_string(), Value::UInt(b.samples)),
-                        ]),
-                    )
-                })
-                .collect(),
-        ),
-    )])
 }
 
 fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
@@ -132,49 +61,19 @@ fn flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
-fn compare(baseline_path: &str, current_path: &str, tolerance: f64) -> Result<bool, String> {
-    let baseline = load(baseline_path)?;
-    let current = load(current_path)?;
-    let mut ok = true;
-    let mut shared = 0usize;
-    for (name, base) in &baseline {
-        let Some(cur) = current.get(name) else {
-            println!("bench_diff: {name}: missing from {current_path} (skipped)");
-            continue;
-        };
-        shared += 1;
-        let ratio = cur.median_ns as f64 / (base.median_ns.max(1)) as f64;
-        let verdict = if ratio > tolerance { "REGRESSED" } else { "ok" };
-        println!(
-            "bench_diff: {name}: {} -> {} ns ({ratio:.2}x, band {tolerance:.2}x) {verdict}",
-            base.median_ns, cur.median_ns
-        );
-        if ratio > tolerance {
-            ok = false;
-        }
-    }
-    if shared == 0 {
-        return Err(format!(
-            "no shared benches between {baseline_path} and {current_path}"
-        ));
-    }
-    Ok(ok)
-}
-
 fn ratio(path: &str, num: &str, den: &str, max: f64) -> Result<bool, String> {
     let benches = load(path)?;
-    let n = benches
-        .get(num)
-        .ok_or_else(|| format!("{path}: no bench named {num}"))?;
-    let d = benches
-        .get(den)
-        .ok_or_else(|| format!("{path}: no bench named {den}"))?;
-    let r = n.median_ns as f64 / (d.median_ns.max(1)) as f64;
+    let median = |name: &str| {
+        benches
+            .get(name)
+            .copied()
+            .ok_or_else(|| format!("{path}: no bench named {name}"))
+    };
+    let (n, d) = (median(num)?, median(den)?);
+    let r = n as f64 / d.max(1) as f64;
     let ok = r <= max;
     println!(
-        "bench_diff: {num} / {den} = {} / {} ns = {r:.3}x (max {max:.3}x) {}",
-        n.median_ns,
-        d.median_ns,
+        "bench_diff: {num} / {den} = {n} / {d} ns = {r:.3}x (max {max:.3}x) {}",
         if ok { "ok" } else { "EXCEEDED" }
     );
     Ok(ok)
@@ -182,43 +81,16 @@ fn ratio(path: &str, num: &str, den: &str, max: f64) -> Result<bool, String> {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
+    if args.first().map(String::as_str) != Some("ratio") {
         usage();
     }
-    let cmd = args.remove(0);
-    let result = match cmd.as_str() {
-        "compare" => {
-            let tolerance = flag_value(&mut args, "--tolerance")
-                .map_or(3.0, |v| v.parse().unwrap_or_else(|_| usage()));
-            let [baseline, current] = args.as_slice() else {
-                usage();
-            };
-            compare(baseline, current, tolerance)
-        }
-        "ratio" => {
-            let max = flag_value(&mut args, "--max")
-                .map_or(1.10, |v| v.parse().unwrap_or_else(|_| usage()));
-            let [input, num, den] = args.as_slice() else {
-                usage();
-            };
-            ratio(input, num, den, max)
-        }
-        "parse" => {
-            let [input] = args.as_slice() else { usage() };
-            match load(input) {
-                Ok(benches) => match serde_json::to_string_pretty(&benches_json(&benches)) {
-                    Ok(text) => {
-                        println!("{text}");
-                        Ok(true)
-                    }
-                    Err(e) => Err(format!("serialize: {e}")),
-                },
-                Err(e) => Err(e),
-            }
-        }
-        _ => usage(),
+    args.remove(0);
+    let max =
+        flag_value(&mut args, "--max").map_or(1.10, |v| v.parse().unwrap_or_else(|_| usage()));
+    let [input, num, den] = args.as_slice() else {
+        usage();
     };
-    match result {
+    match ratio(input, num, den, max) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -234,43 +106,18 @@ mod tests {
 
     #[test]
     fn parses_criterion_lines() {
-        let (name, b) = parse_criterion_line(
+        let (name, median_ns) = parse_criterion_line(
             "bench ledger_overhead/disabled: median 14.776 ms per iter (20 samples)",
         )
         .unwrap();
         assert_eq!(name, "ledger_overhead/disabled");
-        assert_eq!(b.median_ns, 14_776_000);
-        assert_eq!(b.samples, 20);
+        assert_eq!(median_ns, 14_776_000);
         let (_, us) =
             parse_criterion_line("bench x: median 1.500 µs per iter (3 samples)").unwrap();
-        assert_eq!(us.median_ns, 1_500);
+        assert_eq!(us, 1_500);
         let (_, s) = parse_criterion_line("bench x: median 2.000 s per iter (1 samples)").unwrap();
-        assert_eq!(s.median_ns, 2_000_000_000);
+        assert_eq!(s, 2_000_000_000);
         assert!(parse_criterion_line("not a bench line").is_none());
         assert!(parse_criterion_line("bench x: no samples (closure never called iter)").is_none());
-    }
-
-    #[test]
-    fn json_round_trips_through_parse() {
-        let mut benches = BTreeMap::new();
-        benches.insert(
-            "a/b".to_string(),
-            Bench {
-                median_ns: 123,
-                samples: 20,
-            },
-        );
-        let text = serde_json::to_string(&benches_json(&benches));
-        let v: Value = serde_json::from_str(&text.unwrap()).unwrap();
-        assert_eq!(
-            v.get("benches")
-                .unwrap()
-                .get("a/b")
-                .unwrap()
-                .get("median_ns")
-                .unwrap()
-                .as_u64(),
-            Some(123)
-        );
     }
 }

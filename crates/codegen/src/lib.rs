@@ -170,9 +170,9 @@ impl Transform {
     }
 }
 
-/// Records one skip diagnostic: the trace counter, the precision-ledger
-/// `lower_skip` event and the structured [`SkipDiag`] stay in lockstep
-/// so every untransformed verdict is attributable in all three surfaces.
+/// Records one skip diagnostic: the trace counter, the `lower_skip`
+/// precision event (ledger entry and span event in one) and the
+/// structured [`SkipDiag`].
 fn skip(out: &mut Transform, diag: SkipDiag) {
     trace::add("codegen_skipped", 1);
     ledger::record(Cause::LowerSkip, || {

@@ -11,7 +11,7 @@ use crate::{
     PanoramaError, PrecisionReport, SummaryCache,
 };
 use std::sync::Arc;
-use trace::ledger;
+use trace::ledger::{Ledger, LedgerScope};
 
 /// One unit of analysis work.
 #[derive(Clone, Debug)]
@@ -111,12 +111,10 @@ pub fn run_with_cache(
     } else {
         cache
     };
-    // Install a ledger only when nobody outside owns one (a daemon
-    // worker keeps an always-on scope for its metrics); either way the
-    // mark/dropped cursors bound this request's slice of events.
-    let owned_scope = (req.precision && !ledger::enabled()).then(ledger::LedgerScope::install);
-    let mark = ledger::mark();
-    let dropped_before = ledger::dropped_count();
+    // This request's own ledger; nested inside a caller's (a daemon
+    // worker accounts every request for its metrics) it hands its
+    // events up when it ends.
+    let ledger_scope = req.precision.then(|| LedgerScope::install(Ledger::new()));
 
     let mut analysis = analyze_source_limited(req.source, req.opts, cache, req.limits)?;
     let oracle = req.oracle.then(|| analysis.run_oracle());
@@ -128,12 +126,10 @@ pub fn run_with_cache(
             &analysis.verdicts,
         )
     });
-    let precision = req.precision.then(|| {
-        let events = ledger::events_since(mark);
-        let dropped = ledger::dropped_count().saturating_sub(dropped_before);
-        PrecisionReport::build(&analysis, events, dropped)
+    let precision = ledger_scope.and_then(LedgerScope::finish).map(|ledger| {
+        let dropped = ledger.dropped();
+        PrecisionReport::build(&analysis, ledger.into_events(), dropped)
     });
-    drop(owned_scope);
     Ok(Outcome {
         analysis,
         oracle,
@@ -192,8 +188,6 @@ mod tests {
         assert_eq!(p.loops_total, 2);
         assert_eq!(p.loops_serial_degraded, 0);
         assert_eq!(p.ratio(), "1.000");
-        // The driver-owned scope must not leak past the request.
-        assert!(!ledger::enabled());
         let json = out.json();
         let prec = json.get("precision").expect("precision key");
         assert!(prec.get("precision_ratio").is_some());

@@ -173,22 +173,7 @@ impl PrecisionReport {
             }
         }
         for e in &self.events {
-            out.push_str(&format!(
-                "  [{}] {}{}{}: {}\n",
-                e.cause.as_str(),
-                e.routine,
-                if e.var.is_empty() {
-                    String::new()
-                } else {
-                    format!("/{}", e.var)
-                },
-                if e.line == 0 {
-                    String::new()
-                } else {
-                    format!(" (line {})", e.line)
-                },
-                e.detail,
-            ));
+            out.push_str(&format!("  [{}] {e}\n", e.cause));
         }
         out
     }

@@ -1501,7 +1501,6 @@ impl<'a> Analyzer<'a> {
             alias::classify_call(self.sema, routine, callee, &callee_routine.params, args);
         trace::add("alias_classifications", 1);
         if !aliasing.clean() {
-            trace::event("alias_degrade", || format!("{routine} -> {callee}"));
             ledger::record(Cause::AliasDegrade, || {
                 let mut what = Vec::new();
                 let may = aliasing.may_targets();
@@ -2421,9 +2420,6 @@ impl<'a> Analyzer<'a> {
             if list.gars().iter().any(|g| g.guard.size() > cap) {
                 self.fuel.note_degraded(DegradeReason::StateCap);
                 trace::add("widenings", 1);
-                trace::event("fuel_widen", || {
-                    "predicate-term cap: guard -> true".to_string()
-                });
                 ledger::record(Cause::FuelWiden, || {
                     Site::routine(self.routine_stack.last().cloned().unwrap_or_default())
                         .detail("state_cap: predicate-term cap widened a guard to true")
@@ -2441,9 +2437,6 @@ impl<'a> Analyzer<'a> {
             if list.gars().len() > cap {
                 self.fuel.note_degraded(DegradeReason::StateCap);
                 trace::add("widenings", 1);
-                trace::event("fuel_widen", || {
-                    "GAR-length cap: list -> unknown".to_string()
-                });
                 ledger::record(Cause::FuelWiden, || {
                     Site::routine(self.routine_stack.last().cloned().unwrap_or_default())
                         .detail("state_cap: GAR-length cap widened a list to unknown")
@@ -2487,9 +2480,6 @@ impl<'a> Analyzer<'a> {
         env: &mut ValueEnv,
     ) -> (Summary, BTreeSet<String>) {
         trace::add("widenings", 1);
-        trace::event("fuel_widen", || {
-            "basic block -> unknown summary".to_string()
-        });
         ledger::record(Cause::FuelWiden, || {
             let reason = self.fuel.reason().map(|r| r.as_str()).unwrap_or("unknown");
             Site::routine(self.routine_stack.last().cloned().unwrap_or_default())
@@ -2567,9 +2557,6 @@ impl<'a> Analyzer<'a> {
         loop_of_node: &[Option<usize>],
     ) -> Summary {
         trace::add("widenings", 1);
-        trace::event("fuel_widen", || {
-            format!("segment of {routine} -> unknown summary")
-        });
         ledger::record(Cause::FuelWiden, || {
             let reason = self.fuel.reason().map(|r| r.as_str()).unwrap_or("unknown");
             Site::routine(routine).detail(format!("{reason}: segment widened to unknown summary"))

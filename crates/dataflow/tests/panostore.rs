@@ -4,82 +4,17 @@
 //! real analysis entries roundtrip through disk *exactly* (Debug
 //! identity); corruption of any kind is quarantined, never loaded and
 //! never fatal; reopening after a crash recovers cleanly; eviction
-//! respects the byte budget; injected IO faults (`err` failpoints)
-//! degrade the tier instead of crashing; and two instances can share a
-//! directory.
+//! respects the byte budget; and two instances can share a directory.
+//! Injected IO faults live in `panostore_faults.rs`: arming a failpoint
+//! is process-wide, so those tests get a process of their own.
 
-use dataflow::cache::{CacheKey, MemoryCache, SummaryCache};
+mod common;
+
+use common::{analyze_into, real_entries, Scratch, TWO_ROUTINES};
+use dataflow::cache::{MemoryCache, SummaryCache};
 use dataflow::panostore::{DiskCache, TieredCache};
-use dataflow::{Analyzer, Options};
-use fortran::{analyze, parse_program};
-use hsg::build_hsg;
 use std::fs;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A unique scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("panostore-test-{tag}-{}-{n}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &std::path::Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-const TWO_ROUTINES: &str = "
-      PROGRAM main
-      REAL a(100), b(100)
-      INTEGER i, m
-      m = 40
-      DO i = 1, m
-        CALL fill(a, b, i, m)
-      ENDDO
-      END
-      SUBROUTINE fill(x, y, j, n)
-      REAL x(100), y(100)
-      INTEGER j, n, k
-      DO k = 1, n
-        IF (k .LT. j) THEN
-          x(k) = y(k) + 1.0
-        ENDIF
-        y(k) = x(k) * 2.0
-      ENDDO
-      END
-";
-
-/// Runs a full analysis with the given cache, returning it warm.
-fn analyze_into(cache: Arc<dyn SummaryCache>, src: &str) {
-    let program = parse_program(src).expect("parse");
-    let sema = analyze(&program).expect("sema");
-    let hsg = build_hsg(&program).expect("hsg");
-    let mut az = Analyzer::with_cache(&program, &sema, &hsg, Options::default(), Some(cache));
-    az.run();
-}
-
-/// Real entries from a cold analysis, via the memory tier.
-fn real_entries(src: &str) -> Vec<(CacheKey, Arc<dataflow::CachedRoutine>)> {
-    let mem = Arc::new(MemoryCache::new());
-    analyze_into(mem.clone(), src);
-    let entries = mem.entries();
-    assert!(!entries.is_empty(), "analysis produced no cache entries");
-    entries
-}
 
 #[test]
 fn real_entries_roundtrip_exactly_through_disk() {
@@ -259,71 +194,6 @@ fn eviction_respects_byte_budget_oldest_first() {
 }
 
 #[test]
-fn injected_write_error_degrades_tier_without_crashing() {
-    let _guard = failpoints_serial::lock();
-    let scratch = Scratch::new("errwrite");
-    let entries = real_entries(TWO_ROUTINES);
-    let disk = DiskCache::open(scratch.path(), None);
-    // Every attempt fails: retries exhaust, the tier disables with a
-    // structured reason and write_errors counts it.
-    failpoints::configure("disk-write=err(disk is on fire)");
-    disk.put_entry(&entries[0].0, &entries[0].1);
-    failpoints::clear();
-    let snap = disk.snapshot();
-    assert_eq!(snap.write_errors, 1);
-    let reason = snap.disabled.expect("tier disabled");
-    assert!(reason.contains("disk is on fire"), "{reason}");
-    // Disabled tier: all ops are no-ops, never panics.
-    assert!(disk.get_entry(&entries[0].0).is_none());
-    disk.put_entry(&entries[0].0, &entries[0].1);
-    assert_eq!(disk.snapshot().write_errors, 1);
-}
-
-#[test]
-fn transient_write_error_is_retried_to_success() {
-    let _guard = failpoints_serial::lock();
-    let scratch = Scratch::new("retry");
-    let entries = real_entries(TWO_ROUTINES);
-    let disk = DiskCache::open(scratch.path(), None);
-    // Two injected failures, third attempt (last retry) succeeds.
-    failpoints::configure("disk-write=2*err(transient)->off");
-    disk.put_entry(&entries[0].0, &entries[0].1);
-    failpoints::clear();
-    let snap = disk.snapshot();
-    assert_eq!(snap.write_errors, 0, "{snap:?}");
-    assert_eq!(snap.disabled, None);
-    assert!(disk.get_entry(&entries[0].0).is_some());
-}
-
-#[test]
-fn injected_read_error_is_a_miss_not_a_crash() {
-    let _guard = failpoints_serial::lock();
-    let scratch = Scratch::new("errread");
-    let entries = real_entries(TWO_ROUTINES);
-    let disk = DiskCache::open(scratch.path(), None);
-    disk.put_entry(&entries[0].0, &entries[0].1);
-    failpoints::configure("disk-read=1*err(cosmic rays)->off");
-    assert!(disk.get_entry(&entries[0].0).is_none(), "fault → miss");
-    failpoints::clear();
-    let snap = disk.snapshot();
-    assert!(snap.disabled.is_none(), "read fault must not disable");
-}
-
-#[test]
-fn injected_lock_error_disables_writes_soundly() {
-    let _guard = failpoints_serial::lock();
-    let scratch = Scratch::new("errlock");
-    let entries = real_entries(TWO_ROUTINES);
-    let disk = DiskCache::open(scratch.path(), None);
-    failpoints::configure("disk-lock=err(lock file unreachable)");
-    disk.put_entry(&entries[0].0, &entries[0].1);
-    failpoints::clear();
-    let snap = disk.snapshot();
-    assert!(snap.disabled.is_some(), "{snap:?}");
-    assert_eq!(snap.write_errors, 1);
-}
-
-#[test]
 fn unwritable_directory_disables_with_structured_reason() {
     // A path under a *file* can never be created.
     let scratch = Scratch::new("unwritable");
@@ -361,16 +231,4 @@ fn two_instances_share_one_directory() {
     let c = DiskCache::open(scratch.path(), None);
     c.put_entry(&entries[0].0, &entries[0].1);
     assert!(c.snapshot().disabled.is_none());
-}
-
-/// Failpoint configuration is process-global; tests that arm it must
-/// not interleave.
-mod failpoints_serial {
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    pub fn lock() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }

@@ -12,10 +12,8 @@
 //!   program sharing routines with an earlier one, replays summaries
 //!   instead of recomputing them, byte-identically;
 //! * a **concurrent scheduler** ([`scheduler`]) — independent requests
-//!   run in parallel on `--jobs` workers, and a multi-root call DAG
-//!   inside one request is warmed root-parallel into the shared cache;
-//!   responses are emitted in request order regardless of completion
-//!   order;
+//!   run in parallel on `--jobs` workers; responses are emitted in
+//!   request order regardless of completion order;
 //! * a **metrics layer** ([`metrics`]) — phase timings, cache hit/miss
 //!   counters, queue gauges and peak GAR state, snapshotted by
 //!   `{"cmd": "stats"}` and dumped at shutdown under `--metrics`.
@@ -39,12 +37,11 @@ use protocol::{
 };
 use scheduler::{Emitter, Job, Queue};
 use serde::Value;
-use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-use trace::ledger;
+use trace::ledger::{Ledger, LedgerScope};
 
 /// Largest accepted request line, in bytes. A longer line is consumed
 /// (so the stream stays framed) and answered with an in-order error
@@ -435,17 +432,10 @@ impl Daemon {
         // Request budgets win field by field; unset fields inherit the
         // daemon defaults.
         let limits = limits.or(self.limits);
-        // Result-constraining budgets bypass the cache entirely (the
-        // analyzer refuses to mix budgeted and unbudgeted state), so
-        // warming it would be wasted full-precision work. So do traced
-        // and precision-accounted requests: both bypass the cache in
+        // Traced and precision-accounted requests bypass the cache in
         // the driver to keep their span tree / precision report
-        // deterministic, so warming would feed a cache the request
-        // never reads.
-        let determinism_bypass = trace_req || precision;
-        if self.cache.is_some() && !limits.constrains_results() && !determinism_bypass {
-            self.warm_call_dag_roots(source, opts);
-        } else if self.cache.is_some() && determinism_bypass {
+        // deterministic.
+        if self.cache.is_some() && (trace_req || precision) {
             self.metrics.record_trace_bypass();
         }
         let req = driver::Request {
@@ -458,26 +448,26 @@ impl Daemon {
             precision,
         };
         // Flight recording: every request runs under its own collector
-        // and its own precision ledger, panic-safely — the guards
-        // restore the worker's daemon-wide track even when the pipeline
-        // unwinds. Catching the panic *here* (inside the worker's outer
-        // barrier) is what lets the flight record and post-mortem dump
-        // carry the spans and ledger of the failed request itself.
-        let request_trace = RequestTrace::start();
-        let ledger_scope = ledger::LedgerScope::install();
+        // and its own precision ledger, shadowing the worker's
+        // daemon-wide track; the scopes restore it even when the
+        // pipeline unwinds. Catching the panic *here* (inside the
+        // worker's outer barrier) is what lets the flight record and
+        // post-mortem dump carry the spans and ledger of the failed
+        // request itself. A `"precision": true` request's events reach
+        // this ledger from the driver's nested one.
+        let collector_scope = trace::CollectorScope::install(trace::Collector::new());
+        let ledger_scope = LedgerScope::install(Ledger::new());
         let result = catch_unwind(AssertUnwindSafe(|| {
             driver::run_with_cache(&req, self.cache.clone())
         }));
         let request_ledger = ledger_scope.finish().unwrap_or_default();
-        let collector = request_trace.finish();
+        let collector = collector_scope.finish();
         // Untraced requests still feed the worker's `--trace-out`
-        // track: splice the per-request spans back in, shifted onto the
-        // worker's epoch. Traced requests embed their tree in the
-        // response instead (the long-standing bypass contract).
+        // track. Traced requests embed their tree in the response
+        // instead (the long-standing bypass contract).
         if !trace_req {
-            if let (Some(c), Some(mut worker)) = (collector.as_ref(), trace::uninstall()) {
-                worker.splice(c);
-                trace::install(worker);
+            if let Some(c) = &collector {
+                trace::splice(c);
             }
         }
         self.metrics
@@ -546,69 +536,6 @@ impl Daemon {
             }
         }
     }
-
-    /// Intra-request parallelism: when a program's call DAG has several
-    /// roots (routines nobody calls), each root's reachable subtree is
-    /// summarized bottom-up into the shared cache on its own thread. The
-    /// request's real analysis then replays every summary from the
-    /// cache, so the emitted report stays byte-identical to a cold
-    /// serial run. Pipeline errors are ignored here — the real analysis
-    /// reports them in stream order.
-    fn warm_call_dag_roots(&self, source: &str, opts: panorama::Options) {
-        let Some(cache) = self.cache.as_ref() else {
-            return;
-        };
-        let Ok(program) = fortran::parse_program(source) else {
-            return;
-        };
-        let Ok(sema) = fortran::analyze(&program) else {
-            return;
-        };
-        let Ok(graph) = hsg::build_hsg(&program) else {
-            return;
-        };
-        let called: BTreeSet<&String> = sema.call_graph.values().flatten().collect();
-        let roots: Vec<&String> = sema
-            .bottom_up
-            .iter()
-            .filter(|r| !called.contains(r))
-            .collect();
-        if roots.len() < 2 {
-            return;
-        }
-        let result = crossbeam::thread::scope(|scope| {
-            for root in roots {
-                let (program, sema, graph) = (&program, &sema, &graph);
-                let cache = Arc::clone(cache);
-                let metrics = Arc::clone(&self.metrics);
-                scope.spawn(move |_| {
-                    // Warming is best-effort: a panic here loses only
-                    // this root's warm-up — the real analysis redoes
-                    // the work under the per-job isolation barrier and
-                    // reports the fault in stream position.
-                    let warmed = catch_unwind(AssertUnwindSafe(|| {
-                        let reach = reachable(&sema.call_graph, root);
-                        let mut az =
-                            dataflow::Analyzer::with_cache(program, sema, graph, opts, Some(cache));
-                        // Bottom-up order keeps every summarization extent
-                        // self-contained, so each routine becomes a cache
-                        // entry (see `Analyzer::summarize_routine`).
-                        for name in sema.bottom_up.iter().filter(|n| reach.contains(n.as_str())) {
-                            az.summarize_routine(name);
-                        }
-                    }));
-                    if warmed.is_err() {
-                        metrics.record_panic();
-                    }
-                });
-            }
-        });
-        // Unreachable with the catch_unwind above, but a scope failure
-        // must not take the worker down for a best-effort warm-up.
-        if result.is_err() {
-            self.metrics.record_panic();
-        }
-    }
 }
 
 /// The `id` of a parsed request, for labeling a panic response when the
@@ -621,43 +548,6 @@ fn request_id(payload: &Result<Request, String>) -> Value {
         | Ok(Request::Health { id })
         | Ok(Request::Dump { id }) => id.clone(),
         _ => Value::Null,
-    }
-}
-
-/// Swaps a fresh per-request collector onto the worker thread for a
-/// `"trace": true` request, restoring whatever collector the worker had
-/// (its daemon-wide `--trace-out` track) on drop — including through a
-/// panic in the analysis, so one traced request can never eat its
-/// worker's track.
-struct RequestTrace {
-    saved: Option<trace::Collector>,
-    scope: Option<trace::CollectorScope>,
-}
-
-impl RequestTrace {
-    fn start() -> RequestTrace {
-        let saved = trace::uninstall();
-        RequestTrace {
-            saved,
-            scope: Some(trace::CollectorScope::install(trace::Collector::new())),
-        }
-    }
-
-    fn finish(mut self) -> Option<trace::Collector> {
-        let collector = self.scope.take().and_then(trace::CollectorScope::finish);
-        if let Some(saved) = self.saved.take() {
-            trace::install(saved);
-        }
-        collector
-    }
-}
-
-impl Drop for RequestTrace {
-    fn drop(&mut self) {
-        self.scope.take();
-        if let Some(saved) = self.saved.take() {
-            trace::install(saved);
-        }
     }
 }
 
@@ -763,24 +653,6 @@ fn read_line_capped<R: BufRead>(
             Err("bad request: line is not valid UTF-8".to_string()),
         )),
     }
-}
-
-/// The set of routines reachable from `root` in the call graph.
-fn reachable<'a>(
-    call_graph: &'a std::collections::BTreeMap<String, BTreeSet<String>>,
-    root: &'a str,
-) -> BTreeSet<&'a str> {
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    let mut stack = vec![root];
-    while let Some(r) = stack.pop() {
-        if !seen.insert(r) {
-            continue;
-        }
-        if let Some(callees) = call_graph.get(r) {
-            stack.extend(callees.iter().map(String::as_str));
-        }
-    }
-    seen
 }
 
 #[cfg(test)]
@@ -1129,21 +1001,5 @@ mod tests {
         assert!(shutdown);
         // The line after shutdown was never processed.
         assert_eq!(String::from_utf8(out).unwrap().lines().count(), 1);
-    }
-
-    #[test]
-    fn reachable_walks_transitively() {
-        let mut g = std::collections::BTreeMap::new();
-        g.insert(
-            "a".to_string(),
-            ["b".to_string()].into_iter().collect::<BTreeSet<_>>(),
-        );
-        g.insert(
-            "b".to_string(),
-            ["c".to_string()].into_iter().collect::<BTreeSet<_>>(),
-        );
-        let r = reachable(&g, "a");
-        assert_eq!(r, ["a", "b", "c"].into_iter().collect());
-        assert_eq!(reachable(&g, "c"), ["c"].into_iter().collect());
     }
 }

@@ -10,22 +10,22 @@
 //! that went serial because of a degradation, rather than a proven
 //! dependence, must be attributable to the event that caused it.
 //!
-//! Same zero-cost discipline as the span collector (and the
-//! `failpoints` shim): with no ledger installed anywhere in the
-//! process, [`record`] is a single relaxed atomic load and an immediate
-//! return — the site closure never runs, so hot paths pay no
-//! formatting or allocation. Ledgers are per-thread; one request in a
-//! daemon never sees a neighbouring worker's events.
+//! Same zero-cost discipline as the span collector: with neither a
+//! ledger nor a collector installed on the current thread, [`record`]
+//! is two thread-local flag loads and an immediate return — the site
+//! closure never runs, so hot paths pay no formatting or allocation.
+//! Ledgers are per-thread, nest, and merge up on finish
+//! ([`crate::scope`]): one request in a daemon never sees a
+//! neighbouring worker's events, and a driver-owned ledger inside a
+//! worker-owned one hands its events up when it ends.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Number of ledgers installed process-wide; the disabled fast path is
-/// one relaxed load of this counter.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+use crate::scope::{self, Scope, Sink};
+use std::cell::{Cell, RefCell};
+use std::thread::LocalKey;
 
 thread_local! {
-    static CURRENT: RefCell<Option<Ledger>> = const { RefCell::new(None) };
+    static LEDGERS: RefCell<Vec<Ledger>> = const { RefCell::new(Vec::new()) };
+    static ACCOUNTING: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Hard cap on events per ledger: a pathological input must not turn
@@ -180,8 +180,23 @@ pub struct PrecisionEvent {
     pub detail: String,
 }
 
+/// `routine[/var][ (line N)]: detail` — the site as the
+/// `--precision-report` listing and the span event's detail show it.
+impl std::fmt::Display for PrecisionEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.routine)?;
+        if !self.var.is_empty() {
+            write!(f, "/{}", self.var)?;
+        }
+        if self.line != 0 {
+            write!(f, " (line {})", self.line)?;
+        }
+        write!(f, ": {}", self.detail)
+    }
+}
+
 /// A per-thread event ledger. Install one ([`LedgerScope`]), run the
-/// pipeline, take it back out.
+/// pipeline, finish the scope to take it back out.
 #[derive(Clone, Debug, Default)]
 pub struct Ledger {
     events: Vec<PrecisionEvent>,
@@ -218,186 +233,146 @@ impl Ledger {
     }
 }
 
-/// Is any ledger installed anywhere in the process? One relaxed load;
-/// the per-thread check happens only at recording sites.
-#[inline]
-pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
-}
+impl Sink for Ledger {
+    fn stack() -> &'static LocalKey<RefCell<Vec<Self>>> {
+        &LEDGERS
+    }
 
-/// Installs a ledger on the current thread, replacing (and discarding)
-/// any previous one.
-pub fn install(l: Ledger) {
-    CURRENT.with(|cur| {
-        let mut cur = cur.borrow_mut();
-        if cur.is_none() {
-            ACTIVE.fetch_add(1, Ordering::Relaxed);
+    fn flag() -> &'static LocalKey<Cell<bool>> {
+        &ACCOUNTING
+    }
+
+    /// A nested ledger's events and drop count also belong to the
+    /// ledger it shadowed (the daemon's per-request one, feeding the
+    /// metrics and the flight recorder).
+    fn hand_up(&self, enclosing: &mut Ledger) {
+        for ev in &self.events {
+            enclosing.push(ev.clone());
         }
-        *cur = Some(l);
-    });
-}
-
-/// Removes and returns the current thread's ledger, if any.
-pub fn uninstall() -> Option<Ledger> {
-    CURRENT.with(|cur| {
-        let taken = cur.borrow_mut().take();
-        if taken.is_some() {
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
-        taken
-    })
-}
-
-/// An installed-ledger scope: uninstalls on drop, even when the
-/// accounted code panics (daemon workers catch panics and must not
-/// leak a stale ledger into the next request).
-pub struct LedgerScope {
-    _priv: (),
-}
-
-impl LedgerScope {
-    /// Installs a fresh ledger and returns the scope guard.
-    pub fn install() -> Self {
-        install(Ledger::new());
-        LedgerScope { _priv: () }
-    }
-
-    /// Ends the scope, returning the ledger.
-    pub fn finish(self) -> Option<Ledger> {
-        std::mem::forget(self);
-        uninstall()
+        enclosing.dropped += self.dropped;
     }
 }
 
-impl Drop for LedgerScope {
-    fn drop(&mut self) {
-        let _ = uninstall();
-    }
-}
+/// An installed-ledger scope.
+pub type LedgerScope = Scope<Ledger>;
 
-/// Records one precision loss on the current thread's ledger. The site
-/// closure never runs when no ledger is installed — the disabled path
-/// is one relaxed atomic load.
+/// Records one precision loss: on the current thread's ledger, and as
+/// an instant event named `cause.as_str()` on the innermost open span
+/// of its collector. The site closure never runs when neither is
+/// installed.
 #[inline]
 pub fn record(cause: Cause, site: impl FnOnce() -> Site) {
-    if !enabled() {
+    if !ACCOUNTING.get() && !crate::enabled() {
         return;
     }
-    CURRENT.with(|cur| {
-        if let Some(l) = cur.borrow_mut().as_mut() {
-            let s = site();
-            l.push(PrecisionEvent {
-                cause,
-                routine: s.routine,
-                var: s.var,
-                line: s.line,
-                detail: s.detail,
-            });
-        }
-    });
-}
-
-/// The current thread's event count — a cursor for [`events_since`].
-/// `0` when no ledger is installed.
-pub fn mark() -> usize {
-    if !enabled() {
-        return 0;
-    }
-    CURRENT.with(|cur| cur.borrow().as_ref().map_or(0, |l| l.events.len()))
-}
-
-/// The current thread's overflow-drop count (see [`MAX_EVENTS`]); `0`
-/// when no ledger is installed. Snapshot alongside [`mark`] to compute
-/// the drops attributable to a nested extent.
-pub fn dropped_count() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    CURRENT.with(|cur| cur.borrow().as_ref().map_or(0, |l| l.dropped))
-}
-
-/// Clones the events recorded after `mark` without uninstalling the
-/// ledger — how a nested consumer (the driver building a report inside
-/// a daemon whose worker owns the scope) reads its own slice.
-pub fn events_since(mark: usize) -> Vec<PrecisionEvent> {
-    if !enabled() {
-        return Vec::new();
-    }
-    CURRENT.with(|cur| {
-        cur.borrow()
-            .as_ref()
-            .map_or(Vec::new(), |l| l.events.get(mark..).unwrap_or(&[]).to_vec())
-    })
+    let s = site();
+    let ev = PrecisionEvent {
+        cause,
+        routine: s.routine,
+        var: s.var,
+        line: s.line,
+        detail: s.detail,
+    };
+    crate::event(cause.as_str(), || ev.to_string());
+    scope::with(|l: &mut Ledger| l.push(ev));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, PoisonError};
 
-    /// `ACTIVE` is process-global, so tests that assert on `enabled()`
-    /// must not overlap with tests that install ledgers.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    fn install() -> LedgerScope {
+        LedgerScope::install(Ledger::new())
     }
 
     #[test]
     fn disabled_record_is_inert() {
-        let _g = serial();
-        assert!(!enabled());
+        assert!(!ACCOUNTING.get());
         record(Cause::FuelWiden, || panic!("site closure must not run"));
-        assert_eq!(mark(), 0);
-        assert!(events_since(0).is_empty());
-        assert!(uninstall().is_none());
     }
 
     #[test]
     fn records_events_in_order() {
-        let _g = serial();
-        let scope = LedgerScope::install();
+        let scope = install();
         record(Cause::FuelWiden, || {
             Site::routine("interf").var("x").line(7).detail("segment")
         });
-        let m = mark();
         record(Cause::AliasDegrade, || {
             Site::routine("main").detail("main -> extr")
         });
-        let since = events_since(m);
         let ledger = scope.finish().expect("ledger installed");
         assert_eq!(ledger.events().len(), 2);
         assert_eq!(ledger.events()[0].cause, Cause::FuelWiden);
         assert_eq!(ledger.events()[0].routine, "interf");
         assert_eq!(ledger.events()[0].var, "x");
         assert_eq!(ledger.events()[0].line, 7);
-        assert_eq!(since.len(), 1);
-        assert_eq!(since[0].cause, Cause::AliasDegrade);
-        assert!(!enabled());
+        assert_eq!(ledger.events()[0].to_string(), "interf/x (line 7): segment");
+        assert_eq!(ledger.events()[1].to_string(), "main: main -> extr");
+        assert!(!ACCOUNTING.get());
     }
 
     #[test]
-    fn scope_uninstalls_on_panic() {
-        let _g = serial();
+    fn nested_ledger_owns_its_slice_and_hands_it_up() {
+        let outer = install();
+        record(Cause::CacheBypass, || Site::default().detail("before"));
+        let inner = install();
+        record(Cause::FuelWiden, || Site::routine("r"));
+        let inner = inner.finish().expect("inner ledger");
+        assert_eq!(inner.events().len(), 1);
+        assert_eq!(inner.events()[0].cause, Cause::FuelWiden);
+        record(Cause::LowerSkip, || Site::routine("r"));
+        let outer = outer.finish().expect("outer ledger");
+        let causes: Vec<Cause> = outer.events().iter().map(|e| e.cause).collect();
+        assert_eq!(
+            causes,
+            [Cause::CacheBypass, Cause::FuelWiden, Cause::LowerSkip]
+        );
+    }
+
+    #[test]
+    fn unwinding_scope_restores_and_hands_up() {
+        let outer = install();
         let result = std::panic::catch_unwind(|| {
-            let _scope = LedgerScope::install();
+            let _scope = install();
             record(Cause::GotoCondense, || Site::routine("doomed"));
             panic!("boom");
         });
         assert!(result.is_err());
-        assert!(!enabled());
-        assert!(uninstall().is_none());
+        let outer = outer.finish().expect("outer ledger");
+        assert_eq!(outer.events().len(), 1);
+        assert_eq!(outer.events()[0].routine, "doomed");
+        assert!(!ACCOUNTING.get());
+    }
+
+    #[test]
+    fn record_is_also_a_span_event() {
+        // With a collector but no ledger the event still lands on the
+        // innermost span — `--trace-out` needs no `--precision-report`.
+        let scope = crate::CollectorScope::install(crate::Collector::new());
+        {
+            let _s = crate::span("sum_loop");
+            record(Cause::FuelWiden, || Site::routine("r").var("i").detail("d"));
+        }
+        let tree = scope.finish().expect("collector").tree();
+        assert_eq!(tree[0].events.len(), 1);
+        assert_eq!(tree[0].events[0].name, "fuel_widen");
+        assert_eq!(tree[0].events[0].detail, "r/i: d");
     }
 
     #[test]
     fn overflow_is_counted_not_grown() {
-        let _g = serial();
-        let scope = LedgerScope::install();
+        let outer = install();
+        let scope = install();
         for i in 0..(MAX_EVENTS + 5) {
             record(Cause::LowerSkip, || Site::routine("r").line(i as u32));
         }
         let ledger = scope.finish().unwrap();
         assert_eq!(ledger.events().len(), MAX_EVENTS);
         assert_eq!(ledger.dropped(), 5);
+        // The drop count travels up with the events.
+        let outer = outer.finish().unwrap();
+        assert_eq!(outer.events().len(), MAX_EVENTS);
+        assert_eq!(outer.dropped(), 5);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! panotrace — structured tracing for the analysis pipeline.
 //!
-//! The same discipline as the `failpoints` shim: when no collector is
-//! installed anywhere in the process, every instrumentation site —
-//! [`span`], [`span_with`], [`add`], [`event`] — is a single relaxed
-//! atomic load and an immediate return. No allocation, no formatting,
-//! no thread-local access on the disabled path; closures passed to
-//! [`span_with`] and [`event`] are never called.
+//! When no collector is installed on the current thread, every
+//! instrumentation site — [`span`], [`span_with`], [`add`], [`event`] —
+//! is one load of a `const`-initialised thread-local flag and an
+//! immediate return. No allocation, no formatting on the disabled path;
+//! closures passed to [`span_with`] and [`event`] are never called.
 //!
 //! When a [`Collector`] *is* installed on the current thread, sites
 //! record a tree of spans with monotonic microsecond timestamps, typed
@@ -23,26 +22,40 @@
 //!   collectors across threads behind a poison-safe lock for exactly
 //!   this sink.
 //!
-//! Collectors are per-thread and installation is explicit, so one
-//! traced request in a daemon never sees spans from a neighbouring
-//! worker. The crate is std-only: it renders its own JSON.
+//! Collectors are per-thread, nest, and merge up on finish (see
+//! [`scope`]), so one traced request in a daemon never sees spans from
+//! a neighbouring worker. The crate is std-only: it renders its own
+//! JSON.
 
 #![warn(missing_docs)]
 
 pub mod ledger;
+pub mod scope;
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use scope::{Scope, Sink};
+use std::cell::{Cell, RefCell};
 use std::sync::{Mutex, PoisonError};
+use std::thread::LocalKey;
 use std::time::Instant;
 
-/// Number of collectors installed process-wide. The disabled fast path
-/// is one relaxed load of this counter.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
-    static CURRENT: RefCell<Option<Collector>> = const { RefCell::new(None) };
+    static COLLECTORS: RefCell<Vec<Collector>> = const { RefCell::new(Vec::new()) };
+    static COLLECTING: Cell<bool> = const { Cell::new(false) };
 }
+
+impl Sink for Collector {
+    fn stack() -> &'static LocalKey<RefCell<Vec<Self>>> {
+        &COLLECTORS
+    }
+
+    fn flag() -> &'static LocalKey<Cell<bool>> {
+        &COLLECTING
+    }
+}
+
+/// An installed-collector scope. A finished collector stays apart from
+/// the one it shadowed unless the caller [`splice`]s it in.
+pub type CollectorScope = Scope<Collector>;
 
 const NO_PARENT: usize = usize::MAX;
 
@@ -86,8 +99,9 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
-/// A per-thread span collector. Create one, [`install`] it, run the
-/// instrumented code, then [`uninstall`] to get it back.
+/// A per-thread span collector. Create one, install it
+/// ([`CollectorScope`]), run the instrumented code, then finish the
+/// scope to get it back.
 #[derive(Clone, Debug)]
 pub struct Collector {
     epoch: Instant,
@@ -236,12 +250,9 @@ impl Collector {
 
     /// Appends another (finished) collector's recordings to this one,
     /// re-anchoring timestamps onto this collector's epoch and keeping
-    /// span parenting intact. This is how a daemon worker folds a
-    /// per-request collector — swapped in so the flight recorder gets
-    /// an isolated span tree — back into its own `--trace-out` track:
-    /// the spliced spans appear exactly where they would have been
-    /// recorded directly. `other`'s open-span stack is ignored; splice
-    /// finished collectors only.
+    /// span parenting intact: the spliced spans appear exactly where
+    /// they would have been recorded directly. `other`'s open-span
+    /// stack is ignored; splice finished collectors only.
     pub fn splice(&mut self, other: &Collector) {
         // `other` was created after `self` in the intended use; if not,
         // saturate — a 0 shift only misplaces, never corrupts, spans.
@@ -283,86 +294,34 @@ impl Default for Collector {
     }
 }
 
-/// Is any collector installed anywhere in the process? One relaxed
-/// atomic load; the per-thread check happens only at recording sites.
+/// Is a collector installed on the current thread? One thread-local
+/// load.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    COLLECTING.get()
 }
 
-/// Installs a collector on the current thread, replacing (and
-/// discarding) any previous one.
-pub fn install(c: Collector) {
-    CURRENT.with(|cur| {
-        let mut cur = cur.borrow_mut();
-        if cur.is_none() {
-            ACTIVE.fetch_add(1, Ordering::Relaxed);
-        }
-        *cur = Some(c);
-    });
-}
-
-/// Removes and returns the current thread's collector, if any.
-pub fn uninstall() -> Option<Collector> {
-    CURRENT.with(|cur| {
-        let taken = cur.borrow_mut().take();
-        if taken.is_some() {
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
-        }
-        taken
-    })
-}
-
-/// An installed-collector scope: uninstalls on drop, even when the
-/// traced code panics (daemon workers catch panics and must not leak a
-/// stale collector into the next request).
-pub struct CollectorScope {
-    _priv: (),
-}
-
-impl CollectorScope {
-    /// Installs `c` and returns the scope guard.
-    pub fn install(c: Collector) -> Self {
-        install(c);
-        CollectorScope { _priv: () }
-    }
-
-    /// Ends the scope, returning the collector.
-    pub fn finish(self) -> Option<Collector> {
-        std::mem::forget(self);
-        uninstall()
-    }
-}
-
-impl Drop for CollectorScope {
-    fn drop(&mut self) {
-        let _ = uninstall();
-    }
+/// Splices a finished collector into the current thread's collector
+/// ([`Collector::splice`]) — how a daemon worker folds a request's
+/// spans, recorded on a nested collector so the flight recorder gets
+/// an isolated tree, back into the `--trace-out` track it shadowed.
+pub fn splice(finished: &Collector) {
+    scope::with(|c: &mut Collector| c.splice(finished));
 }
 
 /// An open span; closes itself on drop. Obtained from [`span`] /
 /// [`span_with`]; inert (a two-word no-op) when tracing is disabled.
-pub struct Span {
-    idx: usize,
-    active: bool,
-}
+pub struct Span(Option<usize>);
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if self.active {
-            CURRENT.with(|cur| {
-                if let Some(c) = cur.borrow_mut().as_mut() {
-                    c.close(self.idx);
-                }
-            });
+        if let Some(idx) = self.0 {
+            scope::with(|c: &mut Collector| c.close(idx));
         }
     }
 }
 
-const INERT: Span = Span {
-    idx: 0,
-    active: false,
-};
+const INERT: Span = Span(None);
 
 /// Opens a span named `name` under the innermost open span.
 #[inline]
@@ -384,16 +343,7 @@ pub fn span_with(name: impl FnOnce() -> String) -> Span {
 }
 
 fn span_slow(name: impl FnOnce() -> String) -> Span {
-    CURRENT.with(|cur| match cur.borrow_mut().as_mut() {
-        Some(c) => {
-            let name = name();
-            Span {
-                idx: c.open(name),
-                active: true,
-            }
-        }
-        None => INERT,
-    })
+    Span(scope::with(|c: &mut Collector| c.open(name())))
 }
 
 /// Adds `delta` to the typed counter `name` on the innermost open span.
@@ -402,11 +352,7 @@ pub fn add(name: &str, delta: u64) {
     if !enabled() {
         return;
     }
-    CURRENT.with(|cur| {
-        if let Some(c) = cur.borrow_mut().as_mut() {
-            c.bump(name, delta);
-        }
-    });
+    scope::with(|c: &mut Collector| c.bump(name, delta));
 }
 
 /// Records a point-in-time event on the innermost open span. The
@@ -416,12 +362,7 @@ pub fn event(name: &str, detail: impl FnOnce() -> String) {
     if !enabled() {
         return;
     }
-    CURRENT.with(|cur| {
-        if let Some(c) = cur.borrow_mut().as_mut() {
-            let d = detail();
-            c.note(name, d);
-        }
-    });
+    scope::with(|c: &mut Collector| c.note(name, detail()));
 }
 
 /// A process-wide accumulator of labelled collectors — the daemon's
@@ -572,13 +513,6 @@ fn json_str(s: &str) -> String {
 mod tests {
     use super::*;
 
-    /// `ACTIVE` is process-global, so tests that assert on `enabled()`
-    /// must not overlap with tests that install collectors.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn with_collector(f: impl FnOnce()) -> Collector {
         let scope = CollectorScope::install(Collector::new());
         f();
@@ -587,18 +521,15 @@ mod tests {
 
     #[test]
     fn disabled_sites_are_inert() {
-        let _g = serial();
         assert!(!enabled());
         let _s = span("never");
         span_with(|| panic!("name closure must not run"));
         add("n", 1);
         event("e", || panic!("detail closure must not run"));
-        assert!(uninstall().is_none());
     }
 
     #[test]
     fn spans_nest_and_counters_attach() {
-        let _g = serial();
         let c = with_collector(|| {
             let _outer = span("outer");
             add("ticks", 2);
@@ -624,7 +555,6 @@ mod tests {
 
     #[test]
     fn tree_rebases_to_first_span() {
-        let _g = serial();
         let c = with_collector(|| {
             std::thread::sleep(std::time::Duration::from_millis(2));
             let _s = span("late");
@@ -634,7 +564,6 @@ mod tests {
 
     #[test]
     fn siblings_stay_ordered() {
-        let _g = serial();
         let c = with_collector(|| {
             let _root = span("root");
             for name in ["a", "b", "c"] {
@@ -648,7 +577,6 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_wellformed() {
-        let _g = serial();
         let c = with_collector(|| {
             let _s = span("phase \"q\"");
             add("gar_pieces", 7);
@@ -667,7 +595,6 @@ mod tests {
 
     #[test]
     fn registry_groups_by_label() {
-        let _g = serial();
         let reg = Registry::new();
         let mk = |name: &str| {
             let scope = CollectorScope::install(Collector::with_epoch(reg.epoch()));
@@ -687,7 +614,6 @@ mod tests {
 
     #[test]
     fn splice_preserves_structure_and_shifts_time() {
-        let _g = serial();
         let mut worker = with_collector(|| {
             let _s = span("before");
         });
@@ -714,7 +640,6 @@ mod tests {
 
     #[test]
     fn splice_merges_top_level_counters() {
-        let _g = serial();
         let mut a = with_collector(|| add("n", 1));
         let b = with_collector(|| {
             add("n", 2);
@@ -729,7 +654,6 @@ mod tests {
 
     #[test]
     fn adversarial_span_names_escape_cleanly() {
-        let _g = serial();
         let names = [
             "quote \" in name",
             "back\\slash\\path",
@@ -759,15 +683,20 @@ mod tests {
     }
 
     #[test]
-    fn scope_uninstalls_on_panic() {
-        let _g = serial();
-        let result = std::panic::catch_unwind(|| {
-            let _scope = CollectorScope::install(Collector::new());
-            let _s = span("doomed");
-            panic!("boom");
-        });
-        assert!(result.is_err());
+    fn nested_scope_shadows_then_restores_and_splices_on_request() {
+        let outer = CollectorScope::install(Collector::new());
+        drop(span("before"));
+        let inner = CollectorScope::install(Collector::new());
+        drop(span("request"));
+        let request = inner.finish().expect("inner collector");
+        assert!(enabled(), "the enclosing collector is current again");
+        drop(span("after"));
+        let names =
+            |c: &Collector| -> Vec<String> { c.tree().into_iter().map(|n| n.name).collect() };
+        assert_eq!(names(&request), ["request"]);
+        splice(&request);
+        let worker = outer.finish().expect("outer collector");
+        assert_eq!(names(&worker), ["before", "after", "request"]);
         assert!(!enabled());
-        assert!(uninstall().is_none());
     }
 }

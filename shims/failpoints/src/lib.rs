@@ -9,6 +9,16 @@
 //! * [`configure`] / [`clear`], which take precedence over the
 //!   environment — the mechanism tests use to inject for one scope.
 //!
+//! Both are **process-wide on purpose** (CI arms whole binaries through
+//! the environment, and daemon requests run on worker threads the
+//! arming thread never sees): an action without a selector fires on
+//! every thread that reaches the site. A test that calls [`configure`]
+//! therefore sabotages any sibling test touching the same site in the
+//! same process — give such tests a selector no sibling matches, or a
+//! test target of their own in which every test takes one lock
+//! (`crates/dataflow/tests/panostore_faults.rs`,
+//! `crates/server/tests/{fault_injection,disk_cache}.rs`).
+//!
 //! The spec grammar matches fail-rs closely:
 //!
 //! ```text
