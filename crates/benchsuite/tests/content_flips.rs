@@ -169,11 +169,12 @@ fn content_demotes_firstprivate_to_private() {
     let m = Machine::new(&p.program, &p.sema);
     let (seq_mem, _) = m.run().unwrap();
     for threads in [2, 4] {
-        let (par_mem, stats) = m.run_parallel(&on.plan, threads).unwrap();
+        let (par_mem, stats) = m.run_parallel_checked(&on.plan, threads).unwrap();
         for (h, (s, q)) in seq_mem.arrays.iter().zip(&par_mem.arrays).enumerate() {
             assert_eq!(s.data, q.data, "array {h} diverged with {threads} threads");
         }
         assert!(stats.parallel_iterations > 0);
+        assert_eq!(stats.declined_instances, 0);
     }
 
     // And the demoted verdict still survives the race oracle.

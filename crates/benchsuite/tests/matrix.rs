@@ -169,9 +169,10 @@ fn parallel_execution_matches_sequential() {
         let m = Machine::new(&p.program, &p.sema);
         let (seq_mem, _) = m.run().unwrap();
         let (par_mem, stats) = m
-            .run_parallel(&plan, 4)
+            .run_parallel_checked(&plan, 4)
             .unwrap_or_else(|e| panic!("{}: parallel run failed: {e}", k.loop_label));
         assert!(stats.parallel_iterations > 0, "{}", k.loop_label);
+        assert_eq!(stats.declined_instances, 0, "{}", k.loop_label);
 
         // Compare all arrays except privatized-without-copy-out ones.
         let skip: Vec<usize> = {

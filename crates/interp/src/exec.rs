@@ -2,7 +2,7 @@
 
 use crate::error::RuntimeError;
 use crate::memory::{resolve_dims, ArrayStore, Memory, Value};
-use crate::parallel::{run_parallel_do, ParallelPlan};
+use crate::parallel::{run_planned_do, ParallelPlan};
 use crate::trace::{LoopTrace, Tracer};
 use fortran::{BinOp, Expr, LValue, Program, ProgramSema, Routine, Stmt, StmtKind, Ty, UnOp};
 use std::collections::BTreeMap;
@@ -15,8 +15,14 @@ pub struct ExecStats {
     /// Per-iteration operation counts of the *hooked* loop (used by the
     /// speedup simulation).
     pub iter_ops: Vec<u64>,
-    /// Wall-clock iterations of the parallel loop actually run threaded.
+    /// Iterations of planned loops completed on worker threads.
     pub parallel_iterations: u64,
+    /// Planned-loop instances (trip count > 0) run across threads.
+    pub forked_instances: u64,
+    /// Planned-loop instances (trip count > 0) the cut-off ran on the
+    /// calling thread instead: their counted work would not have repaid
+    /// the threads. Always 0 from [`Machine::run_parallel_checked`].
+    pub declined_instances: u64,
 }
 
 /// Statement/expression flow control.
@@ -41,12 +47,19 @@ pub(crate) struct RunState<'p> {
     pub stats: ExecStats,
     /// COMMON array storage by name.
     pub commons: BTreeMap<String, usize>,
-    /// Remaining operation budget (guards against goto cycles).
+    /// Operation budget: the run fails once `stats.ops` exceeds it (guards
+    /// against goto cycles).
     pub budget: u64,
     /// Parallel plan, if any.
     pub plan: Option<&'p ParallelPlan>,
     /// Threads for the parallel executor.
     pub nthreads: usize,
+    /// Fork every planned instance, whatever it costs (the checking
+    /// reference, [`Machine::run_parallel_checked`]).
+    pub always_fork: bool,
+    /// The fork cut-off's memo, one slot per plan entry: counted ops per
+    /// iteration of that loop's latest instance in this run.
+    pub ops_per_iter: Vec<Option<u64>>,
     /// Loop being instrumented for per-iteration costs:
     /// `(routine, var, line)`. A `Some` line restricts the hook to the
     /// DO statement on that 1-based source line, disambiguating loops
@@ -92,7 +105,7 @@ impl<'a> Machine<'a> {
 
     /// Runs the PROGRAM unit sequentially. Returns final memory and stats.
     pub fn run(&self) -> Result<(Memory, ExecStats), RuntimeError> {
-        let (mem, stats, _) = self.run_with(None, 1, None, false)?;
+        let (mem, stats, _) = self.run_with(None, None, false)?;
         Ok((mem, stats))
     }
 
@@ -104,7 +117,7 @@ impl<'a> Machine<'a> {
         var: &str,
     ) -> Result<(Memory, ExecStats), RuntimeError> {
         let hook = Some((routine.to_string(), var.to_string(), None));
-        let (mem, stats, _) = self.run_with(None, 1, hook, false)?;
+        let (mem, stats, _) = self.run_with(None, hook, false)?;
         Ok((mem, stats))
     }
 
@@ -130,27 +143,48 @@ impl<'a> Machine<'a> {
         line: Option<u32>,
     ) -> Result<(Memory, ExecStats, LoopTrace), RuntimeError> {
         let hook = Some((routine.to_string(), var.to_string(), line));
-        let (mem, stats, trace) = self.run_with(None, 1, hook, true)?;
+        let (mem, stats, trace) = self.run_with(None, hook, true)?;
         Ok((mem, stats, trace.expect("traced run always yields a trace")))
     }
 
-    /// Runs with a parallel plan (see [`ParallelPlan`]).
+    /// Runs with a parallel plan (see [`ParallelPlan`]), forking a planned
+    /// loop's instance only when that pays: the first instance in the run
+    /// always, a later one iff the work counted in the previous instances
+    /// outweighs the threads (crate docs, "When the executor forks"). The
+    /// decisions depend only on the program, the plan and `nthreads`.
     pub fn run_parallel(
         &self,
         plan: &ParallelPlan,
         nthreads: usize,
     ) -> Result<(Memory, ExecStats), RuntimeError> {
-        let (mem, stats, _) = self.run_with(Some(plan), nthreads, None, false)?;
+        let (mem, stats, _) = self.run_with(Some((plan, nthreads, false)), None, false)?;
         Ok((mem, stats))
     }
 
+    /// [`Machine::run_parallel`] without the cut-off: every instance of
+    /// every planned loop forks. This is the reference the differential
+    /// suites run, so a clause that is only wrong on a small loop's 2nd…Nth
+    /// instance still changes the result.
+    pub fn run_parallel_checked(
+        &self,
+        plan: &ParallelPlan,
+        nthreads: usize,
+    ) -> Result<(Memory, ExecStats), RuntimeError> {
+        let (mem, stats, _) = self.run_with(Some((plan, nthreads, true)), None, false)?;
+        Ok((mem, stats))
+    }
+
+    /// `parallel` is `(plan, nthreads, always_fork)`.
     fn run_with(
         &self,
-        plan: Option<&ParallelPlan>,
-        nthreads: usize,
+        parallel: Option<(&ParallelPlan, usize, bool)>,
         hook: Option<(String, String, Option<u32>)>,
         traced: bool,
     ) -> Result<(Memory, ExecStats, Option<LoopTrace>), RuntimeError> {
+        let (plan, nthreads, always_fork) = match parallel {
+            Some((plan, nthreads, always_fork)) => (Some(plan), nthreads, always_fork),
+            None => (None, 1, false),
+        };
         let main = self
             .program
             .main()
@@ -162,6 +196,8 @@ impl<'a> Machine<'a> {
             budget: self.budget,
             plan,
             nthreads: nthreads.max(1),
+            always_fork,
+            ops_per_iter: vec![None; plan.map_or(0, ParallelPlan::len)],
             hook,
             in_target: false,
             tracer: traced.then(Tracer::new),
@@ -358,7 +394,6 @@ impl<'a> Machine<'a> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::too_many_arguments)]
     fn exec_do(
         &self,
         r: &Routine,
@@ -387,15 +422,33 @@ impl<'a> Machine<'a> {
         };
 
         // Parallel or instrumented execution of the designated loop?
-        let is_target = !st.in_target
-            && (st.plan.is_some_and(|p| p.matches(&r.name, var, line))
-                || st.hook.as_ref().is_some_and(|(hr, hv, hline)| {
-                    hr == &r.name && hv == var && hline.is_none_or(|l| l == line)
-                }));
-        if is_target && st.plan.is_some_and(|p| p.matches(&r.name, var, line)) {
-            return run_parallel_do(self, r, var, line, lo, step, trips, body, frame, st);
+        if !st.in_target {
+            if let Some((slot, plan)) = st.plan.and_then(|p| p.lookup(&r.name, var, line)) {
+                return run_planned_do(self, r, var, lo, step, trips, body, frame, st, slot, plan);
+            }
         }
+        let is_target = !st.in_target
+            && st.hook.as_ref().is_some_and(|(hr, hv, hline)| {
+                hr == &r.name && hv == var && hline.is_none_or(|l| l == line)
+            });
+        self.run_do(r, var, lo, step, trips, body, is_target, frame, st)
+    }
 
+    /// The sequential loop, on the calling thread; `is_target` marks the
+    /// hooked loop (per-iteration costs, race tracing).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run_do(
+        &self,
+        r: &Routine,
+        var: &str,
+        lo: i64,
+        step: i64,
+        trips: i64,
+        body: &[Stmt],
+        is_target: bool,
+        frame: &mut Frame,
+        st: &mut RunState,
+    ) -> Result<Flow, RuntimeError> {
         if is_target {
             if let Some(tr) = st.tracer.as_mut() {
                 // Register the loop routine's own bindings so witnesses

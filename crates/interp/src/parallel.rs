@@ -69,7 +69,10 @@ impl LoopPlan {
 /// entry fires only on the verified loop.
 #[derive(Clone, Debug, Default)]
 pub struct ParallelPlan {
-    loops: BTreeMap<(String, String, u32), LoopPlan>,
+    /// Sorted by key, so a lookup compares against the caller's borrowed
+    /// strings; an entry's position is its *slot* in the per-run memo of
+    /// the fork cut-off.
+    loops: Vec<((String, String, u32), LoopPlan)>,
 }
 
 impl ParallelPlan {
@@ -78,59 +81,112 @@ impl ParallelPlan {
         Self::default()
     }
 
+    fn position(&self, routine: &str, var: &str, line: u32) -> Result<usize, usize> {
+        self.loops.binary_search_by(|((r, v, l), _)| {
+            (r.as_str(), v.as_str(), *l).cmp(&(routine, var, line))
+        })
+    }
+
     /// Registers a loop.
     pub fn add(&mut self, routine: &str, var: &str, line: u32, plan: LoopPlan) {
-        self.loops
-            .insert((routine.to_string(), var.to_string(), line), plan);
+        match self.position(routine, var, line) {
+            Ok(slot) => self.loops[slot].1 = plan,
+            Err(slot) => {
+                let key = (routine.to_string(), var.to_string(), line);
+                self.loops.insert(slot, (key, plan));
+            }
+        }
     }
 
     /// Does the plan cover this loop?
     pub fn matches(&self, routine: &str, var: &str, line: u32) -> bool {
-        self.loops
-            .contains_key(&(routine.to_string(), var.to_string(), line))
+        self.position(routine, var, line).is_ok()
     }
 
-    fn get(&self, routine: &str, var: &str, line: u32) -> Option<&LoopPlan> {
-        self.loops
-            .get(&(routine.to_string(), var.to_string(), line))
+    /// Number of planned loops (the memo has one slot for each).
+    pub(crate) fn len(&self) -> usize {
+        self.loops.len()
+    }
+
+    /// The entry for this loop and its slot, without allocating: the
+    /// interpreter asks at every DO statement it executes.
+    pub(crate) fn lookup(&self, routine: &str, var: &str, line: u32) -> Option<(usize, &LoopPlan)> {
+        let slot = self.position(routine, var, line).ok()?;
+        Some((slot, &self.loops[slot].1))
     }
 }
 
-/// Outcome information of a parallel run (beyond the memory itself).
-#[derive(Clone, Debug, Default, Serialize)]
-pub struct ParallelOutcome {
-    /// Iterations executed across threads.
-    pub iterations: u64,
-    /// Threads used.
-    pub threads: usize,
-}
-
-/// Executes the designated DO loop across threads. Called from the
-/// interpreter when it reaches a planned loop.
+/// Runs one instance of a planned loop, reached by the interpreter outside
+/// any other planned loop: forked across threads, or *declined* — run by
+/// the ordinary sequential loop on the calling thread — when the run's
+/// earlier instances of this loop showed less work than the threads cost
+/// (see the crate docs, "When the executor forks").
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_parallel_do(
+pub(crate) fn run_planned_do(
     machine: &Machine,
     r: &Routine,
     var: &str,
-    line: u32,
     lo: i64,
     step: i64,
     trips: i64,
     body: &[Stmt],
     frame: &mut Frame,
     st: &mut RunState,
+    slot: usize,
+    plan: &LoopPlan,
 ) -> Result<Flow, RuntimeError> {
-    let plan = st
-        .plan
-        .and_then(|p| p.get(&r.name, var, line))
-        .cloned()
-        .unwrap_or_default();
-    let nthreads = st.nthreads.max(1).min(trips.max(1) as usize);
     if trips <= 0 {
         frame.scalars.insert(var.to_string(), Value::Int(lo));
         return Ok(Flow::Normal);
     }
+    let nthreads = st.nthreads.min(trips as usize);
+    // A loop's first instance in a run has no estimate and always forks,
+    // so every single-instance loop runs threaded.
+    let fork = st.always_fork
+        || st.ops_per_iter[slot].is_none_or(|per_iter| {
+            fork_pays((trips as u64).saturating_mul(per_iter), nthreads as u64)
+        });
+    let before = st.stats.ops;
+    let flow = if fork {
+        st.stats.forked_instances += 1;
+        run_parallel_do(
+            machine, r, var, lo, step, trips, nthreads, body, frame, st, plan,
+        )?
+    } else {
+        // Nothing nested forks either: an inner instance is smaller than
+        // the one just judged too small.
+        st.stats.declined_instances += 1;
+        st.in_target = true;
+        let flow = machine.run_do(r, var, lo, step, trips, body, false, frame, st)?;
+        st.in_target = false;
+        flow
+    };
+    st.ops_per_iter[slot] = Some((st.stats.ops - before) / trips as u64);
+    Ok(flow)
+}
 
+/// The cut-off: does running `work` counted operations on `threads`
+/// threads — modelled as `work / threads + threads × THREAD_COST_OPS` —
+/// beat running them on the calling thread? Never at one thread.
+fn fork_pays(work: u64, threads: u64) -> bool {
+    work - work / threads > threads * THREAD_COST_OPS
+}
+
+/// Executes one loop instance across threads.
+#[allow(clippy::too_many_arguments)]
+fn run_parallel_do(
+    machine: &Machine,
+    r: &Routine,
+    var: &str,
+    lo: i64,
+    step: i64,
+    trips: i64,
+    nthreads: usize,
+    body: &[Stmt],
+    frame: &mut Frame,
+    st: &mut RunState,
+    plan: &LoopPlan,
+) -> Result<Flow, RuntimeError> {
     // Snapshot memory for diff-merging.
     let base_mem = st.mem.clone();
     let mut base_frame = frame.clone();
@@ -199,9 +255,11 @@ pub(crate) fn run_parallel_do(
         mem: crate::memory::Memory,
         frame: Frame,
         ops: u64,
-        last_iter: Option<i64>,
         err: Option<RuntimeError>,
     }
+    // Each worker may spend what the run has left, so a runaway iteration
+    // fails as it does sequentially instead of spinning forever.
+    let budget = st.budget - st.stats.ops;
 
     let results: Vec<ThreadResult> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -213,21 +271,21 @@ pub(crate) fn run_parallel_do(
             }
             let thread_base_mem = &thread_base_mem;
             let base_frame = &base_frame;
-            let plan = &plan;
             handles.push(scope.spawn(move |_| {
                 let mut tst = RunState {
                     mem: thread_base_mem.clone(),
                     stats: crate::exec::ExecStats::default(),
                     commons: BTreeMap::new(),
-                    budget: u64::MAX,
+                    budget,
                     plan: None,
                     nthreads: 1,
+                    always_fork: false,
+                    ops_per_iter: Vec::new(),
                     hook: None,
                     in_target: true,
                     tracer: None,
                 };
                 let mut tframe = base_frame.clone();
-                let mut last_iter = None;
                 let mut err = None;
                 'iters: for k in begin..end {
                     let iv = lo + k as i64 * step;
@@ -235,7 +293,7 @@ pub(crate) fn run_parallel_do(
                     // Reset private scalars each iteration is not needed —
                     // the analysis guarantees they are written before read.
                     match machine.exec_body(r, body, &mut tframe, &mut tst) {
-                        Ok(Flow::Normal) => last_iter = Some(iv),
+                        Ok(Flow::Normal) => {}
                         Ok(_) => {
                             err = Some(RuntimeError::new(
                                 &r.name,
@@ -248,13 +306,11 @@ pub(crate) fn run_parallel_do(
                             break 'iters;
                         }
                     }
-                    let _ = plan;
                 }
                 ThreadResult {
                     mem: tst.mem,
                     frame: tframe,
                     ops: tst.stats.ops,
-                    last_iter,
                     err,
                 }
             }));
@@ -289,16 +345,18 @@ pub(crate) fn run_parallel_do(
             merge_diff(&mut st.mem.arrays[h].data, &base.data, &new.data);
         }
         st.stats.ops += tr.ops;
-        st.stats.parallel_iterations += (tr.last_iter.is_some()) as u64;
     }
+    // Each worker stayed within the budget; together they may not have.
+    if st.stats.ops > st.budget {
+        return Err(RuntimeError::budget_exceeded(&r.name));
+    }
+    // No worker failed, so every iteration ran to completion.
+    st.stats.parallel_iterations += trips as u64;
 
-    // Copy-out: the thread that ran the final iteration provides last
-    // values of privatized arrays and private scalars.
-    if let Some(final_thread) = results
-        .iter()
-        .filter(|tr| tr.last_iter.is_some())
-        .max_by_key(|tr| tr.last_iter)
-    {
+    // Copy-out: the thread that ran the final iteration — the last chunk,
+    // whichever way the loop counts — provides last values of privatized
+    // arrays and private scalars.
+    if let Some(final_thread) = results.last() {
         for name in &plan.copy_out {
             if let Some(&(h, _)) = frame.arrays.get(name.as_str()) {
                 st.mem.arrays[h] = final_thread.mem.arrays[h].clone();
@@ -397,6 +455,13 @@ pub struct SimResult {
 /// and privatization copying), in abstract operations.
 const SIM_OVERHEAD_PER_CHUNK: u64 = 150;
 
+/// What creating, feeding and joining one worker thread costs the threaded
+/// executor, in counted operations: the cut-off's only constant (crate
+/// docs, "When the executor forks"). Measured, not tuned — see there for
+/// the probe. With it a repeated instance forks at 2 threads iff its
+/// estimated work exceeds 8 192 operations.
+pub const THREAD_COST_OPS: u64 = 2048;
+
 /// Simulates executing the hooked loop `(routine, var)` on `p` virtual
 /// processors: runs the program sequentially once with per-iteration
 /// instrumentation, then schedules contiguous chunks.
@@ -429,4 +494,37 @@ pub fn simulate_speedup(
         loop_fraction: loop_ops as f64 / t1.max(1) as f64,
         iterations: n,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn plan_lookup_is_independent_of_insertion_order() {
+        let keys = [("t", "k", 9), ("s", "i", 4), ("t", "i", 9), ("t", "i", 3)];
+        let mut plan = ParallelPlan::new();
+        for (n, (r, v, l)) in keys.iter().enumerate() {
+            let marker = LoopPlan {
+                private_scalars: vec![n.to_string()],
+                ..Default::default()
+            };
+            plan.add(r, v, *l, marker);
+        }
+        // Re-registering a loop replaces its entry.
+        plan.add("t", "i", 9, LoopPlan::default());
+        assert_eq!(plan.len(), keys.len());
+        let mut slots = Vec::new();
+        for (n, (r, v, l)) in keys.iter().enumerate() {
+            let (slot, entry) = plan.lookup(r, v, *l).expect("registered");
+            let expected = if n == 2 { vec![] } else { vec![n.to_string()] };
+            assert_eq!(entry.private_scalars, expected);
+            assert!(plan.matches(r, v, *l));
+            slots.push(slot);
+        }
+        slots.sort_unstable();
+        assert_eq!(slots, [0, 1, 2, 3]);
+        assert!(!plan.matches("t", "i", 4) && !plan.matches("t", "j", 9));
+        assert!(plan.lookup("u", "i", 3).is_none());
+    }
 }

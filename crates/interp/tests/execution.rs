@@ -1,8 +1,12 @@
-//! Interpreter tests: sequential semantics, calls, gotos, and the parallel
-//! executor's bitwise agreement with sequential execution.
+//! Interpreter tests: sequential semantics, calls, gotos, the parallel
+//! executor's bitwise agreement with sequential execution, and the fork
+//! cut-off's decisions.
 
-use fortran::{analyze, parse_program};
-use interp::{simulate_speedup, ArrayData, LoopPlan, Machine, Memory, ParallelPlan};
+use fortran::{analyze, parse_program, Stmt, StmtKind};
+use interp::{
+    simulate_speedup, ArrayData, ExecStats, LoopPlan, Machine, Memory, ParallelPlan,
+    THREAD_COST_OPS,
+};
 
 fn run(src: &str) -> Memory {
     let p = parse_program(src).unwrap();
@@ -18,18 +22,31 @@ fn real_array(mem: &Memory, handle: usize) -> &[f64] {
     }
 }
 
-/// Source line of the `nth` (0-based) top-level `DO` on `var` in `routine`
-/// — plans are keyed by `(routine, var, line)`.
+/// Source line of the `nth` (0-based, in source order) `DO` on `var` in
+/// `routine`, top-level or nested in other DO loops — plans are keyed by
+/// `(routine, var, line)`.
 fn do_line(p: &fortran::Program, routine: &str, var: &str, nth: usize) -> u32 {
-    let r = p.routine(routine).expect("routine");
-    r.body
-        .iter()
-        .filter_map(|s| match &s.kind {
-            fortran::StmtKind::Do { var: v, .. } if v == var => Some(s.line),
-            _ => None,
-        })
-        .nth(nth)
-        .expect("DO statement")
+    fn collect(body: &[Stmt], var: &str, out: &mut Vec<u32>) {
+        for s in body {
+            if let StmtKind::Do { var: v, body, .. } = &s.kind {
+                if v == var {
+                    out.push(s.line);
+                }
+                collect(body, var, out);
+            }
+        }
+    }
+    let mut lines = Vec::new();
+    collect(&p.routine(routine).expect("routine").body, var, &mut lines);
+    *lines.get(nth).expect("DO statement")
+}
+
+/// The checking reference: every planned instance forks, so these tests
+/// exercise the clauses on every instance.
+fn run_checked(m: &Machine, plan: &ParallelPlan, threads: usize) -> (Memory, ExecStats) {
+    let (mem, stats) = m.run_parallel_checked(plan, threads).unwrap();
+    assert_eq!(stats.declined_instances, 0);
+    (mem, stats)
 }
 
 #[test]
@@ -276,7 +293,7 @@ fn parallel_matches_sequential_ocean() {
         },
     );
     for threads in [1, 2, 4] {
-        let (par_mem, stats) = m.run_parallel(&plan, threads).unwrap();
+        let (par_mem, stats) = run_checked(&m, &plan, threads);
         assert_eq!(
             par_mem.arrays.len(),
             seq_mem.arrays.len(),
@@ -293,7 +310,9 @@ fn parallel_matches_sequential_ocean() {
                 assert_eq!(sv, qv, "array {k} diverged with {threads} threads");
             }
         }
-        assert!(stats.parallel_iterations > 0);
+        // Iterations, not threads.
+        assert_eq!(stats.parallel_iterations, 40);
+        assert_eq!(stats.forked_instances, 1);
     }
 }
 
@@ -330,7 +349,7 @@ fn parallel_work_array_with_copy_out() {
             ..Default::default()
         },
     );
-    let (par_mem, _) = m.run_parallel(&plan, 3).unwrap();
+    let (par_mem, _) = run_checked(&m, &plan, 3);
     for (s, q) in seq_mem.arrays.iter().zip(&par_mem.arrays) {
         assert_eq!(s.data, q.data, "copy-out must reproduce last values");
     }
@@ -435,7 +454,7 @@ fn parallel_sum_reduction() {
     );
     // The plan is keyed by line, so only the second i loop (the sum) runs
     // in parallel; the initialization loop stays sequential.
-    let (par, _) = m.run_parallel(&plan, 4).unwrap();
+    let (par, _) = run_checked(&m, &plan, 4);
     let seq_s = match &seq.arrays[0].data {
         ArrayData::Real(v) => v[0],
         _ => unreachable!(),
@@ -618,7 +637,7 @@ fn parallel_product_reduction() {
         },
     );
     for threads in [2, 4] {
-        let (par, _) = m.run_parallel(&plan, threads).unwrap();
+        let (par, _) = run_checked(&m, &plan, threads);
         let par_p = match &par.arrays[0].data {
             ArrayData::Int(v) => v[0],
             _ => unreachable!(),
@@ -665,9 +684,268 @@ fn plan_key_line_disambiguates_same_var_loops() {
             ..Default::default()
         },
     );
-    let (par, stats) = m.run_parallel(&plan, 4).unwrap();
+    let (par, stats) = run_checked(&m, &plan, 4);
     for (s, q) in seq.arrays.iter().zip(&par.arrays) {
         assert_eq!(s.data, q.data, "line-keyed plan must not touch loop 1");
     }
-    assert!(stats.parallel_iterations > 0);
+    assert_eq!(stats.parallel_iterations, 8);
+}
+
+#[test]
+fn copy_out_of_a_downward_loop_takes_the_last_iteration() {
+    // The sequentially last iteration is i = 1, run by the last chunk;
+    // picking the thread with the largest index value copied out m = 12.
+    let src = "
+      PROGRAM t
+      REAL a(10), r(2)
+      INTEGER i, m
+      DO i = 10, 1, -1
+        m = i * 2
+        a(i) = float(m)
+      ENDDO
+      r(1) = float(m)
+      END
+";
+    let p = parse_program(src).unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::new(&p, &sema);
+    let (seq, _) = m.run().unwrap();
+    let mut plan = ParallelPlan::new();
+    plan.add(
+        "t",
+        "i",
+        do_line(&p, "t", "i", 0),
+        LoopPlan {
+            private_scalars: vec!["m".to_string()],
+            scalar_copy_out: vec!["m".to_string()],
+            ..Default::default()
+        },
+    );
+    for threads in [2, 3] {
+        let (par, _) = run_checked(&m, &plan, threads);
+        assert_eq!(par.arrays, seq.arrays, "{threads} threads");
+    }
+}
+
+/// A plan for the (only) `DO j` of PROGRAM `t`, which needs no clauses.
+fn plan_on_j(p: &fortran::Program) -> ParallelPlan {
+    let mut plan = ParallelPlan::new();
+    plan.add("t", "j", do_line(p, "t", "j", 0), LoopPlan::default());
+    plan
+}
+
+/// A serial outer loop (a recurrence along `i`) that runs a parallel inner
+/// loop of `inner` trips `outer` times.
+fn repeated_inner_loop(outer: u64, inner: u64) -> String {
+    format!(
+        "
+      PROGRAM t
+      REAL a({inner}, 0:{outer})
+      INTEGER i, j
+      DO i = 1, {outer}
+        DO j = 1, {inner}
+          a(j, i) = a(j, i - 1) + float(i * j)
+        ENDDO
+      ENDDO
+      END
+"
+    )
+}
+
+/// The cut-off's rule, restated: forking pays iff the serial time saved
+/// exceeds what the threads cost.
+fn fork_pays(work: u64, threads: u64) -> bool {
+    work - work / threads > threads * THREAD_COST_OPS
+}
+
+#[test]
+fn small_repeated_loop_forks_once_then_is_declined() {
+    const N: u64 = 12;
+    let p = parse_program(&repeated_inner_loop(N, 8)).unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::new(&p, &sema);
+    let plan = plan_on_j(&p);
+    let (seq, seq_stats) = m.run().unwrap();
+
+    let (gated, stats) = m.run_parallel(&plan, 2).unwrap();
+    assert_eq!(
+        (stats.forked_instances, stats.declined_instances),
+        (1, N - 1)
+    );
+    assert_eq!(stats.parallel_iterations, 8);
+    assert_eq!(gated.arrays, seq.arrays);
+    assert_eq!(stats.ops, seq_stats.ops);
+
+    let (checked, stats) = m.run_parallel_checked(&plan, 2).unwrap();
+    assert_eq!((stats.forked_instances, stats.declined_instances), (N, 0));
+    assert_eq!(stats.parallel_iterations, 8 * N);
+    assert_eq!(checked.arrays, seq.arrays);
+    assert_eq!(stats.ops, seq_stats.ops);
+}
+
+#[test]
+fn large_repeated_loop_forks_every_time() {
+    // One trip per THREAD_COST_OPS: at 2 threads any body of 5 or more
+    // operations an iteration (this one has 13) is above break-even.
+    const N: u64 = 3;
+    let p = parse_program(&repeated_inner_loop(N, THREAD_COST_OPS)).unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::new(&p, &sema);
+    let plan = plan_on_j(&p);
+    let (seq, seq_stats) = m.run().unwrap();
+    let (gated, stats) = m.run_parallel(&plan, 2).unwrap();
+    assert_eq!((stats.forked_instances, stats.declined_instances), (N, 0));
+    assert_eq!(gated.arrays, seq.arrays);
+    assert_eq!(stats.ops, seq_stats.ops);
+}
+
+/// An inner loop of `i * unit` trips under a serial `DO i = 1, outer`.
+fn triangular_loop(outer: u64, unit: u64) -> String {
+    format!(
+        "
+      PROGRAM t
+      REAL a({})
+      INTEGER i, j
+      DO i = 1, {outer}
+        DO j = 1, i * {unit}
+          a(j) = a(j) + float(i)
+        ENDDO
+      ENDDO
+      END
+",
+        outer * unit
+    )
+}
+
+#[test]
+fn growing_loop_crosses_break_even_and_decisions_repeat() {
+    const N: u64 = 8;
+    let ops = |src: &str| {
+        let p = parse_program(src).unwrap();
+        let sema = analyze(&p).unwrap();
+        Machine::new(&p, &sema).run().unwrap().1.ops
+    };
+    // Counted operations of one inner iteration.
+    let per_iter = ops(&triangular_loop(1, 2)) - ops(&triangular_loop(1, 1));
+    // Instance i holds about i × THREAD_COST_OPS operations of work, and
+    // break-even at 2 threads is 4 × THREAD_COST_OPS.
+    let unit = THREAD_COST_OPS / per_iter;
+    let forks = |threads: u64| {
+        (2..=N)
+            .filter(|i| fork_pays(i * unit * per_iter, threads.min(i * unit)))
+            .count() as u64
+    };
+    assert!(0 < forks(2) && forks(2) < N - 1, "never crosses break-even");
+
+    let p = parse_program(&triangular_loop(N, unit)).unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::new(&p, &sema);
+    let plan = plan_on_j(&p);
+    let (seq, seq_stats) = m.run().unwrap();
+    for threads in [2, 4] {
+        let (gated, stats) = m.run_parallel(&plan, threads as usize).unwrap();
+        assert_eq!(stats.forked_instances, 1 + forks(threads), "{threads}");
+        assert_eq!(stats.declined_instances, N - 1 - forks(threads));
+        assert_eq!(gated.arrays, seq.arrays);
+        assert_eq!(stats.ops, seq_stats.ops);
+    }
+
+    // The decisions read no clock: every counter repeats exactly.
+    let counters = |s: &ExecStats| {
+        (
+            s.ops,
+            s.forked_instances,
+            s.declined_instances,
+            s.parallel_iterations,
+        )
+    };
+    let first = counters(&m.run_parallel(&plan, 2).unwrap().1);
+    for _ in 0..9 {
+        assert_eq!(counters(&m.run_parallel(&plan, 2).unwrap().1), first);
+    }
+
+    // One thread never repays a fork: only first instances do.
+    let (gated, stats) = m.run_parallel(&plan, 1).unwrap();
+    assert_eq!(
+        (stats.forked_instances, stats.declined_instances),
+        (1, N - 1)
+    );
+    assert_eq!(gated.arrays, seq.arrays);
+}
+
+#[test]
+fn interf_under_default_options_forks_each_callee_loop_once() {
+    // The benchmark's costliest program: the outer loop is serial without
+    // the ∀-extension, so its five planned loops (four in callees) are
+    // reached 100 times each, with 135 to 3 900 operations of work.
+    let kernels = benchsuite::kernels();
+    let k = kernels
+        .iter()
+        .find(|k| k.loop_label == "interf/1000")
+        .unwrap();
+    let req = panorama::driver::Request {
+        emit: true,
+        ..panorama::driver::Request::new(k.source)
+    };
+    let out = panorama::driver::run(&req).unwrap();
+    let plan = &out.transform.as_ref().unwrap().plan;
+    let m = Machine::new(&out.analysis.program, &out.analysis.sema);
+    let (seq, seq_stats) = m.run().unwrap();
+
+    let (gated, stats) = m.run_parallel(plan, 2).unwrap();
+    assert_eq!((stats.forked_instances, stats.declined_instances), (5, 495));
+    assert_eq!(gated.arrays, seq.arrays);
+    assert_eq!(stats.ops, seq_stats.ops);
+
+    let (checked, stats) = m.run_parallel_checked(plan, 2).unwrap();
+    assert_eq!((stats.forked_instances, stats.declined_instances), (500, 0));
+    assert_eq!(checked.arrays, seq.arrays);
+    assert_eq!(stats.ops, seq_stats.ops);
+}
+
+#[test]
+fn runaway_iteration_in_a_forked_loop_exhausts_the_budget() {
+    let p = parse_program(
+        "
+      PROGRAM t
+      REAL a(10)
+      INTEGER i
+      DO i = 1, 10
+5       a(i) = 1.0
+        goto 5
+      ENDDO
+      END
+",
+    )
+    .unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::with_budget(&p, &sema, 10_000);
+    let mut plan = ParallelPlan::new();
+    plan.add("t", "i", do_line(&p, "t", "i", 0), LoopPlan::default());
+    assert!(m.run().unwrap_err().is_budget_exceeded());
+    assert!(m.run_parallel(&plan, 2).unwrap_err().is_budget_exceeded());
+    assert!(m
+        .run_parallel_checked(&plan, 2)
+        .unwrap_err()
+        .is_budget_exceeded());
+}
+
+#[test]
+fn budget_covers_the_workers_together() {
+    // Each of two workers needs about half of the run's operations, so
+    // each stays within a budget one short of the total; their sum does
+    // not, and the run must fail like the sequential one.
+    let p = parse_program(&repeated_inner_loop(1, 64)).unwrap();
+    let sema = analyze(&p).unwrap();
+    let plan = plan_on_j(&p);
+    let total = Machine::new(&p, &sema).run().unwrap().1.ops;
+
+    let exact = Machine::with_budget(&p, &sema, total);
+    assert_eq!(exact.run_parallel(&plan, 2).unwrap().1.ops, total);
+    let short = Machine::with_budget(&p, &sema, total - 1);
+    assert!(short.run().unwrap_err().is_budget_exceeded());
+    assert!(short
+        .run_parallel(&plan, 2)
+        .unwrap_err()
+        .is_budget_exceeded());
 }

@@ -1,19 +1,48 @@
-//! Analyze a Perfect-benchmark kernel, derive its privatization plan,
-//! execute it sequentially and in parallel (threads + simulated
-//! P-processor schedule), and report the speedups.
+//! Analyze a Perfect-benchmark kernel, lower its parallel plan, execute
+//! it sequentially and in parallel (real threads + simulated P-processor
+//! schedule), and report the speedups.
 //!
 //! ```text
-//! cargo run --example parallel_speedup [loop-label]
+//! cargo run --release --example parallel_speedup [loop-label] [default]
 //! ```
 //!
-//! e.g. `cargo run --example parallel_speedup ocean/270`.
+//! e.g. `cargo run --release --example parallel_speedup ocean/270`. The
+//! analysis runs with every technique on; a second argument `default`
+//! leaves the ∀-extension off, as the benchmark's `paper_default` workload
+//! does. `interf/1000 default` is then the probe behind
+//! `interp::THREAD_COST_OPS` (DESIGN.md §3): its outer loop stays serial
+//! and five small planned loops (four in callees) are reached 100 times
+//! each.
 
 use benchsuite::kernels;
-use interp::{simulate_speedup, LoopPlan, Machine, ParallelPlan};
-use panorama::{analyze_source, Options};
+use interp::{simulate_speedup, ExecStats, Machine, RuntimeError};
+use panorama::{driver, Options};
+use std::time::Instant;
+
+/// Wall-clock milliseconds of the fastest of five runs, and its counters.
+fn fastest<M>(run: impl Fn() -> Result<(M, ExecStats), RuntimeError>) -> (f64, ExecStats) {
+    let mut best: Option<(f64, ExecStats)> = None;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let (_, stats) = run().expect("execution");
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        if best.as_ref().is_none_or(|(b, _)| ms < *b) {
+            best = Some((ms, stats));
+        }
+    }
+    best.expect("five runs")
+}
 
 fn main() {
     let wanted = std::env::args().nth(1);
+    let opts = match std::env::args().nth(2).as_deref() {
+        None => Options::full(),
+        Some("default") => Options::default(),
+        Some(other) => {
+            eprintln!("unknown option set {other}; the only one is `default`");
+            std::process::exit(2);
+        }
+    };
     let ks = kernels();
     let kernel = match &wanted {
         Some(label) => ks
@@ -31,9 +60,16 @@ fn main() {
 
     println!("kernel {} ({})", kernel.loop_label, kernel.program);
 
-    // 1. Analyze and derive the plan.
-    let analysis = analyze_source(kernel.source, Options::full()).expect("analysis");
-    let v = analysis
+    // 1. Analyze and lower the plan (every loop the backend planned — the
+    //    plan the benchmark executes).
+    let req = driver::Request {
+        opts,
+        emit: true,
+        ..driver::Request::new(kernel.source)
+    };
+    let out = driver::run(&req).expect("analysis");
+    let v = out
+        .analysis
         .verdict(kernel.routine, kernel.var)
         .expect("target loop verdict");
     println!(
@@ -42,45 +78,44 @@ fn main() {
     );
     if !v.parallel_after_privatization {
         println!("  blockers: {:?}", v.blockers);
-        return;
     }
-    let mut plan = ParallelPlan::new();
-    plan.add(
-        kernel.routine,
-        kernel.var,
-        v.line,
-        LoopPlan {
-            // Copy-in for every privatized array: sound whether or not
-            // the loop has upward-exposed reads (the codegen backend
-            // refines this to PRIVATE when it proves no copy-in need).
-            firstprivate: v.privatized.clone(),
-            private_scalars: v.private_scalars.clone(),
-            copy_out: v
-                .arrays
-                .iter()
-                .filter(|a| a.privatizable && a.needs_copy_out)
-                .map(|a| a.array.clone())
-                .collect(),
-            scalar_copy_out: v.private_scalars.clone(),
-            sum_reductions: v.reductions.clone(),
-            ..Default::default()
-        },
-    );
+    let transform = out.transform.as_ref().expect("emit was requested");
+    for l in transform.loops.iter().filter(|l| l.planned) {
+        println!("  planned: {} (line {}) {}", l.id, l.line, l.directive);
+    }
 
-    // 2. Execute.
-    let sema = fortran::analyze(&analysis.program).unwrap();
-    let machine = Machine::new(&analysis.program, &sema);
-    let (_, seq_stats) = machine.run().expect("sequential run");
-    println!("  sequential ops: {}", seq_stats.ops);
-
-    let (_, par_stats) = machine.run_parallel(&plan, 4).expect("parallel run");
+    // 2. Execute: sequentially, with the plan as the benchmark runs it
+    //    (the cut-off decides which instances fork), and with every
+    //    instance forked (the differential suites' checking reference).
+    let machine = Machine::new(&out.analysis.program, &out.analysis.sema);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (serial_ms, serial) = fastest(|| machine.run());
+    let (gated_ms, gated) = fastest(|| machine.run_parallel(&transform.plan, threads));
+    let (checked_ms, checked) = fastest(|| machine.run_parallel_checked(&transform.plan, threads));
     println!(
-        "  threaded run OK ({} iterations across threads)",
-        par_stats.parallel_iterations
+        "  sequential: {} ops, {serial_ms:.2} ms ({:.1} ns/op)",
+        serial.ops,
+        serial_ms * 1e6 / serial.ops as f64
     );
+    for (name, ms, s) in [
+        ("threaded", gated_ms, &gated),
+        ("every instance forked", checked_ms, &checked),
+    ] {
+        println!(
+            "  {name}, {threads} threads: {ms:.2} ms (measured speedup {:.2}); \
+             {} instances forked, {} declined, {} iterations on worker threads",
+            serial_ms / ms,
+            s.forked_instances,
+            s.declined_instances,
+            s.parallel_iterations
+        );
+    }
 
     // 3. Simulated P-processor speedups (the Table 1 substitute for the
     //    Alliant FX/8).
+    if !v.parallel_after_privatization {
+        return;
+    }
     println!("  simulated speedups:");
     for p in [1usize, 2, 4, 8, 16] {
         let sim = simulate_speedup(&machine, kernel.routine, kernel.var, p).expect("simulation");

@@ -1,6 +1,8 @@
 //! Clause selection is load-bearing: for each data-sharing clause there
 //! is a paired kernel where the *wrong* clause changes program output.
 //! The differential harness catches the wrong plan and accepts panogen's.
+//! Every run forks every instance (`run_parallel_checked`): a declined
+//! instance runs sequentially and would hide a wrong clause.
 
 use interp::{LoopPlan, Machine, ParallelPlan};
 use panorama::{driver, Options};
@@ -28,6 +30,12 @@ impl Run {
     fn transform(&self) -> &codegen::Transform {
         self.out.transform.as_ref().unwrap()
     }
+}
+
+fn run_checked(m: &Machine, plan: &ParallelPlan) -> interp::Memory {
+    let (mem, stats) = m.run_parallel_checked(plan, 4).unwrap();
+    assert_eq!(stats.declined_instances, 0);
+    mem
 }
 
 /// FIRSTPRIVATE pair: the loop reads array cells it never writes, so a
@@ -64,7 +72,7 @@ fn firstprivate_wrong_clause_diverges_selected_clause_matches() {
     let (seq, _) = m.run().unwrap();
 
     // panogen's plan (FIRSTPRIVATE w): byte-identical to serial.
-    let (par, _) = m.run_parallel(&t.plan, 4).unwrap();
+    let par = run_checked(&m, &t.plan);
     assert_eq!(seq.arrays[1].data, par.arrays[1].data, "a diverged");
 
     // The deliberately wrong clause (PRIVATE w, zero-initialized):
@@ -80,7 +88,7 @@ fn firstprivate_wrong_clause_diverges_selected_clause_matches() {
             ..Default::default()
         },
     );
-    let (bad, _) = m.run_parallel(&wrong, 4).unwrap();
+    let bad = run_checked(&m, &wrong);
     assert_ne!(
         seq.arrays[1].data, bad.arrays[1].data,
         "PRIVATE instead of FIRSTPRIVATE went unnoticed — kernel no longer discriminates"
@@ -115,7 +123,7 @@ fn scalar_lastprivate_wrong_clause_diverges_selected_clause_matches() {
 
     let m = r.machine();
     let (seq, _) = m.run().unwrap();
-    let (par, _) = m.run_parallel(&t.plan, 4).unwrap();
+    let par = run_checked(&m, &t.plan);
     assert_eq!(seq.arrays[1].data, par.arrays[1].data, "r diverged");
 
     // Wrong clause: m PRIVATE with no copy-out — r(1) sees the pre-loop
@@ -130,7 +138,7 @@ fn scalar_lastprivate_wrong_clause_diverges_selected_clause_matches() {
             ..Default::default()
         },
     );
-    let (bad, _) = m.run_parallel(&wrong, 4).unwrap();
+    let bad = run_checked(&m, &wrong);
     assert_ne!(
         seq.arrays[1].data, bad.arrays[1].data,
         "missing scalar LASTPRIVATE went unnoticed — kernel no longer discriminates"
@@ -167,7 +175,7 @@ fn array_lastprivate_wrong_clause_diverges_selected_clause_matches() {
 
     let m = r.machine();
     let (seq, _) = m.run().unwrap();
-    let (par, _) = m.run_parallel(&t.plan, 4).unwrap();
+    let par = run_checked(&m, &t.plan);
     assert_eq!(seq.arrays[2].data, par.arrays[2].data, "r diverged");
 
     // Wrong clause: w PRIVATE with no copy-out — the post-loop read of
@@ -183,7 +191,7 @@ fn array_lastprivate_wrong_clause_diverges_selected_clause_matches() {
             ..Default::default()
         },
     );
-    let (bad, _) = m.run_parallel(&wrong, 4).unwrap();
+    let bad = run_checked(&m, &wrong);
     assert_ne!(
         seq.arrays[2].data, bad.arrays[2].data,
         "missing array LASTPRIVATE went unnoticed — kernel no longer discriminates"

@@ -6,7 +6,10 @@
 //! * executing the lowered [`interp::ParallelPlan`] across threads must
 //!   produce memory bitwise equal to sequential execution (modulo
 //!   PRIVATE arrays without copy-out, whose post-loop values are
-//!   unspecified by the clause semantics);
+//!   unspecified by the clause semantics) — with every planned instance
+//!   forked (`run_parallel_checked`, so the clauses are exercised on
+//!   every instance), and once more as the benchmark runs it, with the
+//!   fork cut-off deciding (`run_parallel`);
 //! * the dynamic race oracle must never contradict a verdict the
 //!   backend planned from.
 
@@ -86,21 +89,29 @@ fn differential(label: &str, src: &str, opts: Options, oracle: bool) {
         .map(|(h, _)| h)
         .collect();
 
-    for threads in [2usize, 4] {
-        let (par, _) = machine
-            .run_parallel(&t.plan, threads)
-            .unwrap_or_else(|e| panic!("{label}: parallel run ({threads} threads) failed: {e}"));
+    let matches_serial = |par: &interp::Memory, how: &str| {
         for h in 0..main.arrays.len() {
             if skip.contains(&h) {
                 continue;
             }
             assert_eq!(
                 seq.arrays[h].data, par.arrays[h].data,
-                "{label}: array {} (handle {h}) diverged with {threads} threads",
+                "{label}: array {} (handle {h}) diverged, {how}",
                 main.arrays[h].0
             );
         }
+    };
+    for threads in [2usize, 4] {
+        let (par, stats) = machine
+            .run_parallel_checked(&t.plan, threads)
+            .unwrap_or_else(|e| panic!("{label}: parallel run ({threads} threads) failed: {e}"));
+        assert_eq!(stats.declined_instances, 0, "{label}");
+        matches_serial(&par, &format!("{threads} threads, every instance forked"));
     }
+    let (par, _) = machine
+        .run_parallel(&t.plan, 2)
+        .unwrap_or_else(|e| panic!("{label}: cost-gated parallel run failed: {e}"));
+    matches_serial(&par, "2 threads, cost-gated");
 }
 
 #[test]
@@ -144,6 +155,25 @@ fn fig1_kernels_transform_and_match_serial() {
 fn range_kernels_transform_and_match_serial() {
     for k in benchsuite::range_kernels() {
         differential(&format!("range {}", k.tag), k.source, Options::full(), true);
+    }
+}
+
+#[test]
+fn content_kernels_transform_and_match_serial() {
+    // Under default options and with the content pass choosing clauses.
+    let all_passes = Options {
+        content: true,
+        forall_ext: true,
+        ..Options::default()
+    };
+    for k in benchsuite::content_kernels() {
+        differential(
+            &format!("content {}", k.tag),
+            k.source,
+            Options::default(),
+            true,
+        );
+        differential(&format!("content+ {}", k.tag), k.source, all_passes, true);
     }
 }
 

@@ -58,9 +58,10 @@ fn check_seed(seed: u64) {
         },
     );
     for threads in [2usize, 3] {
-        let (par, _) = machine
-            .run_parallel(&plan, threads)
+        let (par, stats) = machine
+            .run_parallel_checked(&plan, threads)
             .unwrap_or_else(|e| panic!("seed {seed}: parallel run failed: {e}\n{src}"));
+        assert_eq!(stats.declined_instances, 0);
         // Arrays u,v,w allocate in declaration order (handles 0..3).
         let names = ["u", "v", "w"];
         for (h, name) in names.iter().enumerate() {
@@ -162,7 +163,8 @@ fn fuzz_with_calls() {
                 ..Default::default()
             },
         );
-        let (par, _) = machine.run_parallel(&plan, 3).unwrap();
+        let (par, stats) = machine.run_parallel_checked(&plan, 3).unwrap();
+        assert_eq!(stats.declined_instances, 0);
         // v (handle 1) is the shared result array.
         assert_eq!(
             seq.arrays[1].data, par.arrays[1].data,

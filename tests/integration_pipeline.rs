@@ -90,7 +90,8 @@ fn verdicts_agree_with_execution_semantics() {
             ..Default::default()
         },
     );
-    let (par, _) = m.run_parallel(&plan, 3).unwrap();
+    let (par, stats) = m.run_parallel_checked(&plan, 3).unwrap();
+    assert_eq!(stats.declined_instances, 0);
     // acc (handle 1: w is declared first) must agree.
     assert_eq!(seq.arrays[1].data, par.arrays[1].data);
 }
