@@ -22,14 +22,40 @@
 //! iteration output dependences) and private objects are copied out from
 //! the final iteration when live.
 //!
+//! # Resolve once, then run
+//!
+//! [`Machine::new`] lowers every routine once into a resolved form, and
+//! every entry point — [`Machine::run`], `run_hooked`, `run_traced(_at)`,
+//! `run_parallel(_checked)` and [`simulate_speedup`] — executes that form;
+//! no name is looked up while a program runs. Scalars are dense slots of a
+//! frame's value vector and arrays `(handle, dims)` slots, both numbered
+//! in name order; intrinsics are an enum, CALL targets routine indices,
+//! GOTO targets per-block label tables and DO statements dense loop ids.
+//! A run resolves its [`ParallelPlan`] or hook to loop ids, and each
+//! [`LoopPlan`]'s names to slots, before it starts.
+//!
+//! Counting is unchanged: [`ExecStats::ops`] charges one operation per
+//! statement and per expression node, exactly as a walk of the syntax tree
+//! would. A PARAMETER, or any subtree whose operands are constants, is
+//! folded into one constant that carries its exact charge — 1 for the
+//! reference plus what its definition's nodes cost — so the fork cut-off,
+//! the op budget and [`simulate_speedup`] see the same counts.
+//!
+//! Lowering never fails, and every failure stays a run-time error raised
+//! where execution reaches it — an unknown routine or intrinsic, an
+//! unbound scalar, a subscript out of bounds, the budget, a division by
+//! zero even inside a PARAMETER — because a program may never execute the
+//! statement that would fail. Known gaps stay as they are: COMMON scalars
+//! are per-activation and EQUIVALENCE is not modelled.
+//!
 //! # When the executor forks
 //!
 //! Forking a loop instance creates and joins one OS thread per chunk, and
 //! that pays only where the work handed out outweighs the threads. A
 //! planned loop under a serial outer loop is reached many times with
 //! little work each time (MDG `interf` under default options: 5 loops ×
-//! 100 instances of 135–3 900 counted operations, on average 66 µs of
-//! work against some 160 µs for a 2-thread fork), so
+//! 100 instances of 135–3 900 counted operations, on average 14 µs of
+//! work against some 50 µs for a 2-thread fork), so
 //! [`Machine::run_parallel`] decides per *instance*, from the
 //! interpreter's own operation counts:
 //!
@@ -45,18 +71,21 @@
 //!   inside it forking either), which is the reference semantics every
 //!   clause must preserve, and its operations refresh the note.
 //!
-//! [`THREAD_COST_OPS`] (2 048) is the one constant. It was measured, not
+//! [`THREAD_COST_OPS`] (4 096) is the one constant. It was measured, not
 //! tuned: `cargo run --release --example parallel_speedup interf/1000
 //! default` times the program serially and with every instance forked;
 //! (forked − serial) ÷ 500 forks is what a fork costs beyond the work it
-//! saves, 98–128 µs across runs on a shared 2-vCPU host; adding back the
-//! W/2 ≈ 26–33 µs a fork does save, 2 threads cost 125–155 µs, 62–77 µs
-//! each, 1 900–2 400 operations at the measured 31–33 ns per operation.
-//! Break-even at 2 threads is `W > 8 192`; the repeated loops of the
-//! evaluation programs do 135–3 900 operations per instance, so the
-//! outcome does not hinge on the exact value. The decisions depend only
-//! on the program, the plan and `nthreads` — no clock is read — so they
-//! and every counter of [`ExecStats`] repeat exactly.
+//! saves, 43–48 µs across runs on a 2-vCPU host; adding back the W/2 ≈
+//! 7 µs a fork does save (1 887 operations per instance on average), 2
+//! threads cost 50–55 µs, 25–28 µs each, 3 400–3 800 operations at the
+//! measured 7.3–7.4 ns per operation. (The constant was 2 048 when an
+//! operation cost 31–33 ns: a thread costs about the same time, and more
+//! of the cheaper operations.) Break-even at 2 threads is `W > 16 384`;
+//! the repeated loops of the evaluation programs do 135–3 900 operations
+//! per instance, so the outcome does not hinge on the exact value. The
+//! decisions depend only on the program, the plan and `nthreads` — no
+//! clock is read — so they and every counter of [`ExecStats`] repeat
+//! exactly.
 //!
 //! A declined instance cannot expose a wrong clause, so the differential
 //! suites run [`Machine::run_parallel_checked`]: the same executor with
@@ -66,6 +95,7 @@
 
 mod error;
 mod exec;
+mod lower;
 mod memory;
 mod parallel;
 mod trace;

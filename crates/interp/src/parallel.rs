@@ -1,11 +1,10 @@
 //! Threaded parallel DO execution and the P-processor speedup simulation.
 
 use crate::error::RuntimeError;
-use crate::exec::{Flow, Frame, Machine, RunState};
+use crate::exec::{Fault, Flow, Frame, Machine, RunState};
+use crate::lower::{Do, Routine, Slot};
 use crate::memory::{ArrayData, Value};
-use fortran::{Routine, Stmt};
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// What to privatize for one parallel loop.
 ///
@@ -108,11 +107,55 @@ impl ParallelPlan {
         self.loops.len()
     }
 
-    /// The entry for this loop and its slot, without allocating: the
-    /// interpreter asks at every DO statement it executes.
+    /// The entry for this loop and its slot: a run asks once per DO
+    /// statement of the program, before it starts.
     pub(crate) fn lookup(&self, routine: &str, var: &str, line: u32) -> Option<(usize, &LoopPlan)> {
         let slot = self.position(routine, var, line).ok()?;
         Some((slot, &self.loops[slot].1))
+    }
+}
+
+/// A planned loop's clauses for one run, resolved to the slots of the
+/// routine the loop is in. A name the routine does not have names nothing
+/// and is dropped.
+pub(crate) struct Planned {
+    /// The loop's slot in the cut-off's memo.
+    memo: usize,
+    /// PRIVATE arrays that are not also FIRSTPRIVATE: scrubbed to zero.
+    scrubbed: Vec<Slot>,
+    /// PRIVATE ∪ FIRSTPRIVATE arrays: kept out of the shared merge.
+    privatized: Vec<Slot>,
+    copy_out: Vec<Slot>,
+    private_scalars: Vec<Slot>,
+    scalar_copy_out: Vec<Slot>,
+    sum_reductions: Vec<Slot>,
+    mul_reductions: Vec<Slot>,
+}
+
+impl Planned {
+    pub(crate) fn resolve(memo: usize, plan: &LoopPlan, r: &Routine) -> Planned {
+        let arrays = |names: &mut dyn Iterator<Item = &str>| -> Vec<Slot> {
+            names.filter_map(|n| r.array_slot(n)).collect()
+        };
+        let scalars = |names: &[String]| -> Vec<Slot> {
+            names.iter().filter_map(|n| r.scalar_slot(n)).collect()
+        };
+        Planned {
+            memo,
+            scrubbed: arrays(
+                &mut plan
+                    .private_arrays
+                    .iter()
+                    .filter(|n| !plan.firstprivate.contains(n))
+                    .map(String::as_str),
+            ),
+            privatized: arrays(&mut plan.privatized_arrays().into_iter()),
+            copy_out: arrays(&mut plan.copy_out.iter().map(String::as_str)),
+            private_scalars: scalars(&plan.private_scalars),
+            scalar_copy_out: scalars(&plan.scalar_copy_out),
+            sum_reductions: scalars(&plan.sum_reductions),
+            mul_reductions: scalars(&plan.mul_reductions),
+        }
     }
 }
 
@@ -125,43 +168,39 @@ impl ParallelPlan {
 pub(crate) fn run_planned_do(
     machine: &Machine,
     r: &Routine,
-    var: &str,
+    d: &Do,
     lo: i64,
     step: i64,
     trips: i64,
-    body: &[Stmt],
     frame: &mut Frame,
     st: &mut RunState,
-    slot: usize,
-    plan: &LoopPlan,
-) -> Result<Flow, RuntimeError> {
+    plan: &Planned,
+) -> Result<Flow, Fault> {
     if trips <= 0 {
-        frame.scalars.insert(var.to_string(), Value::Int(lo));
+        frame.scalars[d.var] = Some(Value::Int(lo));
         return Ok(Flow::Normal);
     }
     let nthreads = st.nthreads.min(trips as usize);
     // A loop's first instance in a run has no estimate and always forks,
     // so every single-instance loop runs threaded.
     let fork = st.always_fork
-        || st.ops_per_iter[slot].is_none_or(|per_iter| {
+        || st.ops_per_iter[plan.memo].is_none_or(|per_iter| {
             fork_pays((trips as u64).saturating_mul(per_iter), nthreads as u64)
         });
     let before = st.stats.ops;
     let flow = if fork {
         st.stats.forked_instances += 1;
-        run_parallel_do(
-            machine, r, var, lo, step, trips, nthreads, body, frame, st, plan,
-        )?
+        run_parallel_do(machine, r, d, lo, step, trips, nthreads, frame, st, plan)?
     } else {
         // Nothing nested forks either: an inner instance is smaller than
         // the one just judged too small.
         st.stats.declined_instances += 1;
         st.in_target = true;
-        let flow = machine.run_do(r, var, lo, step, trips, body, false, frame, st)?;
+        let flow = machine.run_do(r, d, lo, step, trips, false, frame, st)?;
         st.in_target = false;
         flow
     };
-    st.ops_per_iter[slot] = Some((st.stats.ops - before) / trips as u64);
+    st.ops_per_iter[plan.memo] = Some((st.stats.ops - before) / trips as u64);
     Ok(flow)
 }
 
@@ -172,75 +211,62 @@ fn fork_pays(work: u64, threads: u64) -> bool {
     work - work / threads > threads * THREAD_COST_OPS
 }
 
+/// A scalar's additive (`one` false) or multiplicative identity, typed
+/// like the value it replaces.
+fn identity(v: Value, one: bool) -> Value {
+    match v {
+        Value::Int(_) => Value::Int(i64::from(one)),
+        _ => Value::Real(if one { 1.0 } else { 0.0 }),
+    }
+}
+
 /// Executes one loop instance across threads.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_do(
     machine: &Machine,
     r: &Routine,
-    var: &str,
+    d: &Do,
     lo: i64,
     step: i64,
     trips: i64,
     nthreads: usize,
-    body: &[Stmt],
     frame: &mut Frame,
     st: &mut RunState,
-    plan: &LoopPlan,
-) -> Result<Flow, RuntimeError> {
+    plan: &Planned,
+) -> Result<Flow, Fault> {
     // Snapshot memory for diff-merging.
     let base_mem = st.mem.clone();
     let mut base_frame = frame.clone();
     // Reduction scalars: remember the incoming value, start threads from
     // the operator's identity (0 for sums, 1 for products).
-    let mut reduction_pre: Vec<(String, Value)> = Vec::new();
-    for s in &plan.sum_reductions {
-        if let Some(v) = base_frame.scalars.get(s).copied() {
-            reduction_pre.push((s.clone(), v));
-            base_frame.scalars.insert(
-                s.clone(),
-                match v {
-                    Value::Int(_) => Value::Int(0),
-                    _ => Value::Real(0.0),
-                },
-            );
+    let mut reduction_pre: Vec<(Slot, Value)> = Vec::new();
+    for &s in &plan.sum_reductions {
+        if let Some(v) = base_frame.scalars[s] {
+            reduction_pre.push((s, v));
+            base_frame.scalars[s] = Some(identity(v, false));
         }
     }
-    let mut mul_reduction_pre: Vec<(String, Value)> = Vec::new();
-    for s in &plan.mul_reductions {
-        if let Some(v) = base_frame.scalars.get(s).copied() {
-            mul_reduction_pre.push((s.clone(), v));
-            base_frame.scalars.insert(
-                s.clone(),
-                match v {
-                    Value::Int(_) => Value::Int(1),
-                    _ => Value::Real(1.0),
-                },
-            );
+    let mut mul_reduction_pre: Vec<(Slot, Value)> = Vec::new();
+    for &s in &plan.mul_reductions {
+        if let Some(v) = base_frame.scalars[s] {
+            mul_reduction_pre.push((s, v));
+            base_frame.scalars[s] = Some(identity(v, true));
         }
     }
     // PRIVATE semantics: scrub the thread-visible starting values. A
     // scalar or array the analysis proved written-before-read never sees
     // the scrub; a wrong PRIVATE-vs-FIRSTPRIVATE clause choice does, and
     // diverges from the sequential run.
-    for s in &plan.private_scalars {
-        if let Some(v) = base_frame.scalars.get(s).copied() {
-            base_frame.scalars.insert(
-                s.clone(),
-                match v {
-                    Value::Int(_) => Value::Int(0),
-                    _ => Value::Real(0.0),
-                },
-            );
+    for &s in &plan.private_scalars {
+        if let Some(v) = base_frame.scalars[s] {
+            base_frame.scalars[s] = Some(identity(v, false));
         }
     }
     let base_frame = base_frame;
     let mut thread_base_mem = base_mem.clone();
-    for name in &plan.private_arrays {
-        if plan.firstprivate.contains(name) {
-            continue;
-        }
-        if let Some(&(h, _)) = frame.arrays.get(name.as_str()) {
-            match &mut thread_base_mem.arrays[h].data {
+    for &s in &plan.scrubbed {
+        if let Some(a) = &frame.arrays[s] {
+            match &mut thread_base_mem.arrays[a.handle].data {
                 ArrayData::Int(v) => v.fill(0),
                 ArrayData::Real(v) => v.fill(0.0),
                 ArrayData::Logical(v) => v.fill(false),
@@ -255,11 +281,12 @@ fn run_parallel_do(
         mem: crate::memory::Memory,
         frame: Frame,
         ops: u64,
-        err: Option<RuntimeError>,
+        err: Option<Fault>,
     }
     // Each worker may spend what the run has left, so a runaway iteration
     // fails as it does sequentially instead of spinning forever.
     let budget = st.budget - st.stats.ops;
+    let commons = machine.code.commons;
 
     let results: Vec<ThreadResult> = crossbeam::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -275,35 +302,34 @@ fn run_parallel_do(
                 let mut tst = RunState {
                     mem: thread_base_mem.clone(),
                     stats: crate::exec::ExecStats::default(),
-                    commons: BTreeMap::new(),
+                    commons: vec![None; commons],
                     budget,
-                    plan: None,
+                    roles: &[],
                     nthreads: 1,
                     always_fork: false,
                     ops_per_iter: Vec::new(),
-                    hook: None,
                     in_target: true,
                     tracer: None,
                 };
                 let mut tframe = base_frame.clone();
                 let mut err = None;
-                'iters: for k in begin..end {
-                    let iv = lo + k as i64 * step;
-                    tframe.scalars.insert(var.to_string(), Value::Int(iv));
+                for k in begin..end {
+                    let iv = lo.wrapping_add((k as i64).wrapping_mul(step));
+                    tframe.scalars[d.var] = Some(Value::Int(iv));
                     // Reset private scalars each iteration is not needed —
                     // the analysis guarantees they are written before read.
-                    match machine.exec_body(r, body, &mut tframe, &mut tst) {
+                    match machine.exec_block(r, &d.body, &mut tframe, &mut tst) {
                         Ok(Flow::Normal) => {}
                         Ok(_) => {
-                            err = Some(RuntimeError::new(
-                                &r.name,
-                                "control left a parallel loop iteration",
-                            ));
-                            break 'iters;
+                            err = Some(
+                                RuntimeError::new(r.name, "control left a parallel loop iteration")
+                                    .into(),
+                            );
+                            break;
                         }
                         Err(e) => {
                             err = Some(e);
-                            break 'iters;
+                            break;
                         }
                     }
                 }
@@ -328,12 +354,11 @@ fn run_parallel_do(
         }
     }
 
-    // Private array handles (PRIVATE ∪ FIRSTPRIVATE; skipped in the
-    // shared merge).
+    // Private array handles (skipped in the shared merge).
     let private_handles: Vec<usize> = plan
-        .privatized_arrays()
-        .into_iter()
-        .filter_map(|n| frame.arrays.get(n).map(|(h, _)| *h))
+        .privatized
+        .iter()
+        .filter_map(|&s| frame.arrays[s].as_ref().map(|a| a.handle))
         .collect();
 
     // Merge shared arrays by disjoint-write diffing.
@@ -348,7 +373,7 @@ fn run_parallel_do(
     }
     // Each worker stayed within the budget; together they may not have.
     if st.stats.ops > st.budget {
-        return Err(RuntimeError::budget_exceeded(&r.name));
+        return Err(RuntimeError::budget_exceeded(r.name).into());
     }
     // No worker failed, so every iteration ran to completion.
     st.stats.parallel_iterations += trips as u64;
@@ -357,44 +382,42 @@ fn run_parallel_do(
     // whichever way the loop counts — provides last values of privatized
     // arrays and private scalars.
     if let Some(final_thread) = results.last() {
-        for name in &plan.copy_out {
-            if let Some(&(h, _)) = frame.arrays.get(name.as_str()) {
-                st.mem.arrays[h] = final_thread.mem.arrays[h].clone();
+        for &s in &plan.copy_out {
+            if let Some(a) = &frame.arrays[s] {
+                st.mem.arrays[a.handle] = final_thread.mem.arrays[a.handle].clone();
             }
         }
-        for s in &plan.scalar_copy_out {
-            if let Some(v) = final_thread.frame.scalars.get(s) {
-                frame.scalars.insert(s.clone(), *v);
+        for &s in &plan.scalar_copy_out {
+            if let Some(v) = final_thread.frame.scalars[s] {
+                frame.scalars[s] = Some(v);
             }
         }
     }
 
     // Combine reduction partials: final = pre-value + Σ thread partials
     // for sums, pre-value × Π thread partials for products.
-    for (name, pre) in &reduction_pre {
-        let combined = results.iter().fold(*pre, |acc, tr| {
-            match (acc, tr.frame.scalars.get(name).copied()) {
+    for &(s, pre) in &reduction_pre {
+        let combined = results
+            .iter()
+            .fold(pre, |acc, tr| match (acc, tr.frame.scalars[s]) {
                 (Value::Int(a), Some(Value::Int(b))) => Value::Int(a.wrapping_add(b)),
                 (a, Some(b)) => Value::Real(a.as_f64() + b.as_f64()),
                 (a, None) => a,
-            }
-        });
-        frame.scalars.insert(name.clone(), combined);
+            });
+        frame.scalars[s] = Some(combined);
     }
-    for (name, pre) in &mul_reduction_pre {
-        let combined = results.iter().fold(*pre, |acc, tr| {
-            match (acc, tr.frame.scalars.get(name).copied()) {
+    for &(s, pre) in &mul_reduction_pre {
+        let combined = results
+            .iter()
+            .fold(pre, |acc, tr| match (acc, tr.frame.scalars[s]) {
                 (Value::Int(a), Some(Value::Int(b))) => Value::Int(a.wrapping_mul(b)),
                 (a, Some(b)) => Value::Real(a.as_f64() * b.as_f64()),
                 (a, None) => a,
-            }
-        });
-        frame.scalars.insert(name.clone(), combined);
+            });
+        frame.scalars[s] = Some(combined);
     }
 
-    frame
-        .scalars
-        .insert(var.to_string(), Value::Int(lo + trips * step));
+    frame.scalars[d.var] = Some(Value::Int(lo.wrapping_add(trips.wrapping_mul(step))));
     Ok(Flow::Normal)
 }
 
@@ -459,8 +482,8 @@ const SIM_OVERHEAD_PER_CHUNK: u64 = 150;
 /// executor, in counted operations: the cut-off's only constant (crate
 /// docs, "When the executor forks"). Measured, not tuned — see there for
 /// the probe. With it a repeated instance forks at 2 threads iff its
-/// estimated work exceeds 8 192 operations.
-pub const THREAD_COST_OPS: u64 = 2048;
+/// estimated work exceeds 16 384 operations.
+pub const THREAD_COST_OPS: u64 = 4096;
 
 /// Simulates executing the hooked loop `(routine, var)` on `p` virtual
 /// processors: runs the program sequentially once with per-iteration

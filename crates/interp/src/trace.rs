@@ -23,7 +23,7 @@
 //! upward-exposed read — which suffices because sequential execution
 //! delivers accesses in iteration order.
 
-use crate::exec::Frame;
+use crate::exec::ArrayRef;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
@@ -209,12 +209,15 @@ impl Tracer {
     /// report the names visible at the loop, not callee dummy names.
     /// Called once per dynamic execution of the target loop; each
     /// execution is a separate instance for conflict detection.
-    pub(crate) fn enter_loop(&mut self, frame: &Frame) {
+    /// `names` are the routine's array slot names, in name order, and
+    /// `arrays` its frame's bindings of those slots.
+    pub(crate) fn enter_loop(&mut self, names: &[&str], arrays: &[Option<ArrayRef>]) {
         self.cur_instance = self.cur_instance.wrapping_add(1);
-        for (name, (handle, dims)) in &frame.arrays {
-            self.arrays.entry(*handle).or_insert_with(|| ArrayShadow {
-                name: name.clone(),
-                dims: dims.clone(),
+        for (name, a) in names.iter().zip(arrays) {
+            let Some(a) = a else { continue };
+            self.arrays.entry(a.handle).or_insert_with(|| ArrayShadow {
+                name: name.to_string(),
+                dims: a.dims.clone(),
                 elems: HashMap::new(),
                 races: ArrayRaces::default(),
             });
@@ -438,12 +441,12 @@ mod tests {
     fn separate_loop_executions_do_not_conflict() {
         let mut t = Tracer::new();
         // First execution of the target loop writes element 2 …
-        t.enter_loop(&Frame::default());
+        t.enter_loop(&[], &[]);
         t.begin_iter(1);
         t.record_write(0, "a", &[(1, 8)], 2);
         // … a later execution (sibling loop / outer-loop re-entry) reads
         // it. Same induction values, but no loop-carried dependence.
-        t.enter_loop(&Frame::default());
+        t.enter_loop(&[], &[]);
         t.begin_iter(1);
         t.record_read(0, "a", &[(1, 8)], 2);
         t.begin_iter(2);

@@ -949,3 +949,173 @@ fn budget_covers_the_workers_together() {
         .unwrap_err()
         .is_budget_exceeded());
 }
+
+fn int_array(mem: &Memory, handle: usize) -> &[i64] {
+    match &mem.arrays[handle].data {
+        ArrayData::Int(v) => v,
+        other => panic!("expected integer array, got {other:?}"),
+    }
+}
+
+#[test]
+fn integer_overflow_wraps_instead_of_panicking() {
+    // i64::MIN / -1, MOD(i64::MIN, -1), -i64::MIN and ABS(i64::MIN) have no
+    // i64 result: they wrap (two's complement), as the other integer
+    // operations already do.
+    let mem = run("
+      PROGRAM t
+      INTEGER a(5), i
+      i = -9223372036854775807 - 1
+      a(1) = i / (-1)
+      a(2) = mod(i, -1)
+      a(3) = -i
+      a(4) = abs(i)
+      a(5) = iabs(i)
+      END
+");
+    assert_eq!(
+        int_array(&mem, 0),
+        &[i64::MIN, 0, i64::MIN, i64::MIN, i64::MIN]
+    );
+
+    // Zero divisors still fail, as run-time errors.
+    for expr in ["i / 0", "mod(i, 0)"] {
+        let p = parse_program(&format!(
+            "
+      PROGRAM t
+      INTEGER i, j
+      i = 7
+      j = {expr}
+      END
+"
+        ))
+        .unwrap();
+        let sema = analyze(&p).unwrap();
+        let e = Machine::new(&p, &sema).run().unwrap_err();
+        assert!(!e.is_budget_exceeded(), "{expr}: {e}");
+    }
+}
+
+#[test]
+fn extreme_do_bounds_neither_panic_nor_miscount() {
+    // The index steps past i64::MAX after the last trip and wraps.
+    let mem = run("
+      PROGRAM t
+      INTEGER a(2), i
+      DO i = 9223372036854775806, 9223372036854775807
+        a(1) = a(1) + 1
+      ENDDO
+      a(2) = i
+      END
+");
+    assert_eq!(int_array(&mem, 0), &[2, i64::MIN]);
+
+    // A step of i64::MIN cannot be negated, and its loop runs once.
+    let mem = run("
+      PROGRAM t
+      INTEGER a(1), i, s
+      s = -9223372036854775807 - 1
+      DO i = 10, 1, s
+        a(1) = a(1) + 1
+      ENDDO
+      END
+");
+    assert_eq!(int_array(&mem, 0), &[1]);
+
+    // Steps larger than the distance the wrong way round: zero trips.
+    let mem = run("
+      PROGRAM t
+      INTEGER a(2), i
+      DO i = 2, 1, 5
+        a(1) = a(1) + 1
+      ENDDO
+      DO i = 1, 2, -5
+        a(2) = a(2) + 1
+      ENDDO
+      END
+");
+    assert_eq!(int_array(&mem, 0), &[0, 0]);
+
+    // 2^64 trips: the count saturates and the op budget ends the loop.
+    let p = parse_program(
+        "
+      PROGRAM t
+      INTEGER i, lo, hi, n
+      lo = -9223372036854775807 - 1
+      hi = 9223372036854775807
+      DO i = lo, hi
+        n = n + 1
+      ENDDO
+      END
+",
+    )
+    .unwrap();
+    let sema = analyze(&p).unwrap();
+    let m = Machine::with_budget(&p, &sema, 10_000);
+    assert!(m.run().unwrap_err().is_budget_exceeded());
+    let mut plan = ParallelPlan::new();
+    plan.add("t", "i", do_line(&p, "t", "i", 0), LoopPlan::default());
+    assert!(m.run_parallel(&plan, 2).unwrap_err().is_budget_exceeded());
+}
+
+#[test]
+fn parameters_fold_with_their_exact_charge_and_fail_only_when_reached() {
+    // The statement (1), the reference to n (1) plus its definition
+    // `2 + 3` (3), and the subscript (1).
+    let p = parse_program(
+        "
+      PROGRAM t
+      PARAMETER (n = 2 + 3)
+      INTEGER a(1)
+      a(1) = n
+      END
+",
+    )
+    .unwrap();
+    let sema = analyze(&p).unwrap();
+    let (mem, stats) = Machine::new(&p, &sema).run().unwrap();
+    assert_eq!((int_array(&mem, 0), stats.ops), (&[5][..], 6));
+
+    // A PARAMETER that divides by zero fails where it is used, if it is.
+    let src = |i: i64| {
+        format!(
+            "
+      PROGRAM t
+      PARAMETER (k = 1 / 0)
+      INTEGER a(2), i
+      i = {i}
+      IF (i .GT. 0) a(1) = k
+      a(2) = 1
+      END
+"
+        )
+    };
+    for (i, fails) in [(0, false), (1, true)] {
+        let p = parse_program(&src(i)).unwrap();
+        let sema = analyze(&p).unwrap();
+        let res = Machine::new(&p, &sema).run();
+        assert_eq!(res.is_err(), fails, "i = {i}");
+        if let Err(e) = res {
+            assert!(e.message.contains("division by 0"), "{e}");
+        }
+    }
+
+    // One defined through itself never finishes evaluating: the budget
+    // ends the run.
+    let p = parse_program(
+        "
+      PROGRAM t
+      PARAMETER (n = m + 1, m = n)
+      INTEGER a(1)
+      a(1) = 0
+      a(1) = n
+      END
+",
+    )
+    .unwrap();
+    let sema = analyze(&p).unwrap();
+    assert!(Machine::new(&p, &sema)
+        .run()
+        .unwrap_err()
+        .is_budget_exceeded());
+}
