@@ -21,12 +21,23 @@
 //! which makes hashing and set operations on regions cheap — the property the
 //! paper relies on when simplifying guarded array regions.
 //!
+//! # Comparison
+//!
+//! [`compare`], [`diff_const`] and [`sum_const`] answer their questions by
+//! walking the two canonical term lists side by side: whether `a - b` (or
+//! `a + b`) is a constant needs no new expression. The difference is built
+//! only when it stays symbolic and an installed range oracle
+//! ([`bounds`]) must see it.
+//!
 //! # Overflow
 //!
 //! Coefficient arithmetic is checked. The operator impls (`+`, `-`, `*`)
-//! panic on `i64` overflow (compiler-sized expressions never get close);
-//! `try_add`/`try_sub`/`try_mul` return `None` instead and are used where
-//! untrusted input flows.
+//! and [`Expr::negate`] panic on `i64` overflow; `try_add`/`try_sub`/
+//! `try_mul` return `None` instead. Source programs reach the extremes
+//! easily — a literal `-9223372036854775807 - 1`, a subscript
+//! `i * 9223372036854775807` — so every path from a program's text into
+//! an expression must use the checked forms and degrade (e.g. to the
+//! unknown guard Δ) on `None`.
 //!
 //! # Example
 //!
@@ -48,7 +59,7 @@ mod monomial;
 mod parse;
 mod term;
 
-pub use compare::{compare, diff_const, SymOrdering};
+pub use compare::{compare, diff_const, sum_const, SymOrdering};
 pub use env::Env;
 pub use expr::Expr;
 pub use monomial::{Monomial, Name};

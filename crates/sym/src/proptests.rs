@@ -1,8 +1,13 @@
 //! Property-based tests: algebraic laws of `Expr` checked against direct
 //! integer evaluation under random environments.
 
-use crate::{compare, parse_expr, Env, Expr, SymOrdering};
+use crate::bounds::{take_decisions, OracleGuard};
+use crate::{
+    compare, diff_const, parse_expr, sum_const, Env, Expr, Monomial, Name, SymOrdering, Term,
+};
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const VARS: [&str; 4] = ["i", "j", "n", "m"];
 
@@ -20,6 +25,73 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             inner.prop_map(|a| -a),
         ]
     })
+}
+
+/// Coefficients at and next to the `i64` extremes, where checked
+/// arithmetic overflows.
+const EXTREMES: [i64; 4] = [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX];
+
+/// Small coefficients three times in four, an extreme one otherwise.
+fn arb_coef() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -3i64..4,
+        -20i64..20,
+        -3i64..4,
+        (0usize..EXTREMES.len()).prop_map(|k| EXTREMES[k]),
+    ]
+}
+
+/// `1`, a variable, a product of two variables or a square.
+fn arb_mono() -> impl Strategy<Value = Monomial> {
+    (0usize..6).prop_map(|k| match k {
+        0 => Monomial::one(),
+        1..=3 => Monomial::var(VARS[k - 1]),
+        4 => Monomial::from_factors([(Name::new("i"), 1), (Name::new("j"), 1)]),
+        _ => Monomial::from_factors([(Name::new("n"), 2)]),
+    })
+}
+
+fn arb_terms(max: usize) -> impl Strategy<Value = Vec<Term>> {
+    proptest::collection::vec(
+        (arb_coef(), arb_mono()).prop_map(|(c, m)| Term::new(c, m)),
+        0..max,
+    )
+}
+
+/// Two canonical expressions that share their main terms (as `b = a + x`
+/// or `b = -a + x` with a small extra `x`) two times in three, so their
+/// differences and sums are often constant.
+fn arb_pair() -> impl Strategy<Value = (Expr, Expr)> {
+    (arb_terms(4), arb_terms(2), arb_terms(2), 0u8..3).prop_filter_map(
+        "coefficient overflow",
+        |(shared, xa, xb, mode)| {
+            let mirrored: Vec<Term> = match mode {
+                0 => shared.clone(),
+                1 => shared
+                    .iter()
+                    .map(|t| Some(Term::new(t.coef.checked_neg()?, t.mono.clone())))
+                    .collect::<Option<_>>()?,
+                _ => Vec::new(),
+            };
+            let a = Expr::try_from_terms(shared.into_iter().chain(xa))?;
+            let b = Expr::try_from_terms(mirrored.into_iter().chain(xb))?;
+            Some((a, b))
+        },
+    )
+}
+
+/// The definition [`compare`] had before it walked the difference: build
+/// `a - b`, read a constant off it, else hand it to the oracle.
+fn reference_compare(a: &Expr, b: &Expr) -> SymOrdering {
+    let Some(d) = a.try_sub(b) else {
+        return SymOrdering::Unknown;
+    };
+    match d.as_const() {
+        Some(c) if c < 0 => SymOrdering::Less,
+        Some(0) => SymOrdering::Equal,
+        Some(_) => SymOrdering::Greater,
+        None => crate::bounds::consult(a, b, &d),
+    }
 }
 
 fn arb_env() -> impl Strategy<Value = Env> {
@@ -122,5 +194,41 @@ proptest! {
         if let Some(scaled) = a.try_scale(c) {
             prop_assert_eq!(scaled.div_exact(c), Some(a));
         }
+    }
+
+    /// The walked difference and sum answer exactly what the built ones
+    /// do, overflow included.
+    #[test]
+    fn walked_difference_matches_built((a, b) in arb_pair()) {
+        prop_assert_eq!(diff_const(&a, &b), a.try_sub(&b).and_then(|d| d.as_const()));
+        prop_assert_eq!(diff_const(&b, &a), b.try_sub(&a).and_then(|d| d.as_const()));
+        prop_assert_eq!(sum_const(&a, &b), a.try_add(&b).and_then(|s| s.as_const()));
+        prop_assert_eq!(compare(&a, &b), reference_compare(&a, &b));
+        prop_assert_eq!(compare(&a, &Expr::zero()), reference_compare(&a, &Expr::zero()));
+    }
+
+    /// With an oracle installed, both definitions consult it with equal
+    /// differences in equal order and log the same decisions.
+    #[test]
+    fn walked_compare_consults_the_oracle_alike((a, b) in arb_pair(), (c, d) in arb_pair()) {
+        let seen: Rc<RefCell<Vec<Expr>>> = Rc::default();
+        let log = Rc::clone(&seen);
+        let _guard = OracleGuard::install(Box::new(move |diff: &Expr| {
+            log.borrow_mut().push(diff.clone());
+            let ord = match diff.terms().first().map(|t| t.coef.rem_euclid(3)) {
+                Some(0) => SymOrdering::Less,
+                Some(1) => SymOrdering::Greater,
+                _ => return None,
+            };
+            Some((ord, diff.to_string()))
+        }));
+        let pairs = [(&a, &b), (&b, &a), (&c, &d), (&a, &c), (&d, &Expr::zero())];
+        let walked: Vec<SymOrdering> = pairs.iter().map(|(x, y)| compare(x, y)).collect();
+        let walked_seen = std::mem::take(&mut *seen.borrow_mut());
+        let walked_log = take_decisions();
+        let built: Vec<SymOrdering> = pairs.iter().map(|(x, y)| reference_compare(x, y)).collect();
+        prop_assert_eq!(walked, built);
+        prop_assert_eq!(walked_seen, std::mem::take(&mut *seen.borrow_mut()));
+        prop_assert_eq!(walked_log, take_decisions());
     }
 }
