@@ -16,7 +16,9 @@
 //!
 //! Every successful consultation is logged (deduplicated, bounded) so
 //! the analyzer can attach `range_compare` provenance to the decisions
-//! the pass contributed.
+//! the pass contributed. A decision already logged since the most recent
+//! [`log_mark`] is not logged again, so the cap counts distinct
+//! decisions of the window being attributed, not repeats.
 
 use crate::compare::SymOrdering;
 use crate::expr::Expr;
@@ -43,9 +45,29 @@ pub type BoundsHook = Box<dyn Fn(&Expr) -> Option<(SymOrdering, String)>>;
 /// bounded for cache entries.
 const LOG_CAP: usize = 64;
 
+/// The decision log of one thread.
+struct Log {
+    entries: Vec<RangeDecision>,
+    /// Where the most recent [`log_mark`] was taken: a decision equal to
+    /// one of `entries[floor..]` is not logged again.
+    floor: usize,
+}
+
+impl Log {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.floor = 0;
+    }
+}
+
 thread_local! {
     static HOOK: RefCell<Option<BoundsHook>> = const { RefCell::new(None) };
-    static LOG: RefCell<Vec<RangeDecision>> = const { RefCell::new(Vec::new()) };
+    static LOG: RefCell<Log> = const {
+        RefCell::new(Log {
+            entries: Vec::new(),
+            floor: 0,
+        })
+    };
 }
 
 /// Installs `hook` for the current thread; the returned guard removes
@@ -78,7 +100,9 @@ pub fn oracle_active() -> bool {
 /// order, deduplicated.
 pub fn take_decisions() -> Vec<RangeDecision> {
     LOG.with(|l| {
-        let mut v = std::mem::take(&mut *l.borrow_mut());
+        let mut log = l.borrow_mut();
+        log.floor = 0;
+        let mut v = std::mem::take(&mut log.entries);
         let mut seen = Vec::new();
         v.retain(|d| {
             if seen.contains(d) {
@@ -94,9 +118,14 @@ pub fn take_decisions() -> Vec<RangeDecision> {
 
 /// The current length of the decision log — a mark to pass to
 /// [`decisions_since`] for attributing later decisions to one region of
-/// the analysis (e.g. one loop) without draining the log.
+/// the analysis (e.g. one loop) without draining the log. Decisions
+/// repeated after the mark are logged once.
 pub fn log_mark() -> usize {
-    LOG.with(|l| l.borrow().len())
+    LOG.with(|l| {
+        let mut log = l.borrow_mut();
+        log.floor = log.entries.len();
+        log.floor
+    })
 }
 
 /// The decisions logged since `mark` (from [`log_mark`]), deduplicated,
@@ -104,7 +133,7 @@ pub fn log_mark() -> usize {
 /// installation saturates to the full log.
 pub fn decisions_since(mark: usize) -> Vec<RangeDecision> {
     LOG.with(|l| {
-        let log = l.borrow();
+        let log = &l.borrow().entries;
         let tail = &log[mark.min(log.len())..];
         let mut seen: Vec<RangeDecision> = Vec::new();
         for d in tail {
@@ -134,13 +163,16 @@ pub(crate) fn consult(a: &Expr, b: &Expr, diff: &Expr) -> SymOrdering {
                 };
                 LOG.with(|l| {
                     let mut log = l.borrow_mut();
-                    if log.len() < LOG_CAP {
-                        log.push(RangeDecision {
+                    if log.entries.len() < LOG_CAP {
+                        let decision = RangeDecision {
                             lhs: a.to_string(),
                             rhs: b.to_string(),
                             detail,
                             result,
-                        });
+                        };
+                        if !log.entries[log.floor..].contains(&decision) {
+                            log.entries.push(decision);
+                        }
                     }
                 });
                 ord
@@ -202,6 +234,20 @@ mod tests {
             assert_eq!(compare(&a, &b), SymOrdering::Less);
         }
         assert_eq!(take_decisions().len(), 1);
+    }
+
+    #[test]
+    fn repeats_do_not_crowd_out_distinct_decisions() {
+        let _guard = OracleGuard::install(Box::new(|d: &Expr| {
+            Some((SymOrdering::Less, format!("{d} in [-5, -1]")))
+        }));
+        let mark = log_mark();
+        for _ in 0..LOG_CAP {
+            assert_eq!(compare(&Expr::var("x"), &Expr::zero()), SymOrdering::Less);
+        }
+        assert_eq!(compare(&Expr::var("y"), &Expr::zero()), SymOrdering::Less);
+        let kept: Vec<String> = decisions_since(mark).into_iter().map(|d| d.lhs).collect();
+        assert_eq!(kept, ["x", "y"]);
     }
 
     #[test]
