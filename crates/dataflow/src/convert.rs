@@ -159,7 +159,8 @@ fn to_pred_inner(e: &FExpr, ctx: &ConvertCtx) -> Option<Pred> {
                     BinOp::Ne => Atom::ne(sa, sb),
                     _ => unreachable!(),
                 };
-                return Some(Pred::atom(atom));
+                // An overflowing relation is the unknown guard Δ.
+                return Some(atom.map_or_else(Pred::unknown, Pred::atom));
             }
             // Opaque condition template.
             build_cond_atom(e, ctx).map(Pred::atom)

@@ -341,7 +341,7 @@ fn affine_of(e: &Expr, table: &SymbolTable, indices: &[String]) -> Option<Affine
         }
         Expr::Un(UnOp::Neg, a) => {
             let a = affine_of(a, table, indices)?;
-            Some(scale(a, -1))
+            scale(a, -1)
         }
         Expr::Bin(op, a, b) => {
             let (fa, fb) = (affine_of(a, table, indices), affine_of(b, table, indices));
@@ -352,9 +352,9 @@ fn affine_of(e: &Expr, table: &SymbolTable, indices: &[String]) -> Option<Affine
                     let fa = fa?;
                     let fb = fb?;
                     if fa.coeffs.is_empty() {
-                        Some(scale(fb, fa.c0))
+                        scale(fb, fa.c0)
                     } else if fb.coeffs.is_empty() {
-                        Some(scale(fa, fb.c0))
+                        scale(fa, fb.c0)
                     } else {
                         None
                     }
@@ -366,19 +366,22 @@ fn affine_of(e: &Expr, table: &SymbolTable, indices: &[String]) -> Option<Affine
     }
 }
 
-fn scale(mut a: AffineSub, c: i64) -> AffineSub {
-    a.c0 *= c;
+/// `c · a`; `None` on overflow.
+fn scale(mut a: AffineSub, c: i64) -> Option<AffineSub> {
+    a.c0 = a.c0.checked_mul(c)?;
     for v in a.coeffs.values_mut() {
-        *v *= c;
+        *v = v.checked_mul(c)?;
     }
     a.coeffs.retain(|_, v| *v != 0);
-    a
+    Some(a)
 }
 
+/// `a + sign · b`; `None` on overflow.
 fn add(mut a: AffineSub, b: AffineSub, sign: i64) -> Option<AffineSub> {
     a.c0 = a.c0.checked_add(sign.checked_mul(b.c0)?)?;
     for (k, v) in b.coeffs {
-        *a.coeffs.entry(k).or_insert(0) += sign * v;
+        let sum = a.coeffs.entry(k).or_insert(0);
+        *sum = sum.checked_add(sign.checked_mul(v)?)?;
     }
     a.coeffs.retain(|_, v| *v != 0);
     Some(a)
@@ -389,14 +392,14 @@ fn const_of(e: &Expr, table: &SymbolTable) -> Option<i64> {
     match e {
         Expr::Int(v) => Some(*v),
         Expr::Var(n) => const_of(table.constant(n)?, table),
-        Expr::Un(UnOp::Neg, a) => Some(-const_of(a, table)?),
+        Expr::Un(UnOp::Neg, a) => const_of(a, table)?.checked_neg(),
         Expr::Bin(op, a, b) => {
             let (a, b) = (const_of(a, table)?, const_of(b, table)?);
             match op {
                 BinOp::Add => a.checked_add(b),
                 BinOp::Sub => a.checked_sub(b),
                 BinOp::Mul => a.checked_mul(b),
-                BinOp::Div if b != 0 => Some(a / b),
+                BinOp::Div => a.checked_div(b),
                 _ => None,
             }
         }

@@ -58,8 +58,7 @@ pub fn ziv_test(a: &AffineSub, b: &AffineSub) -> Option<DepAnswer> {
     }
 }
 
-fn gcd(a: i64, b: i64) -> i64 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -75,11 +74,12 @@ fn gcd(a: i64, b: i64) -> i64 {
 /// Returns `Independent` when it does not divide; `MaybeDependent`
 /// otherwise.
 pub fn gcd_test(a: &AffineSub, b: &AffineSub) -> DepAnswer {
-    let mut g = 0i64;
+    let mut g = 0u64;
     for &c in a.coeffs.values().chain(b.coeffs.values()) {
-        g = gcd(g, c);
+        g = gcd(g, c.unsigned_abs());
     }
-    let rhs = b.c0 - a.c0;
+    // Widened: the difference of two `i64`s always fits.
+    let rhs = i128::from(b.c0) - i128::from(a.c0);
     if g == 0 {
         // No index terms at all: equality of constants (ZIV).
         return if rhs == 0 {
@@ -88,7 +88,7 @@ pub fn gcd_test(a: &AffineSub, b: &AffineSub) -> DepAnswer {
             DepAnswer::Independent
         };
     }
-    if rhs % g != 0 {
+    if rhs % i128::from(g) != 0 {
         DepAnswer::Independent
     } else {
         DepAnswer::MaybeDependent
@@ -103,6 +103,8 @@ pub fn gcd_test(a: &AffineSub, b: &AffineSub) -> DepAnswer {
 ///
 /// The test computes min/max of `h = a(i¹) − b(i²)` subject to the bounds
 /// and the direction constraint; `0 ∉ [min, max]` disproves dependence.
+/// The bounds are computed in `i128`; when even that overflows the test
+/// does not apply (`None`).
 pub fn banerjee_test(
     a: &AffineSub,
     b: &AffineSub,
@@ -123,14 +125,15 @@ pub fn banerjee_test(
     // h = Σ aₖ iₖ¹ − Σ bₖ iₖ² + (a0 − b0).
     let directions: &[i64] = if carrier.is_some() { &[-1, 1] } else { &[0] };
     for &dir in directions {
-        let mut min = a.c0 - b.c0;
+        let mut min = i128::from(a.c0) - i128::from(b.c0);
         let mut max = min;
         let mut feasible = true;
         for idx in &indices {
             let (lo, hi) = bounds[idx.as_str()];
-            let ca = a.coeff(idx);
-            let cb = b.coeff(idx);
-            if carrier == Some(idx.as_str()) && dir != 0 {
+            let (lo, hi) = (i128::from(lo), i128::from(hi));
+            let ca = i128::from(a.coeff(idx));
+            let cb = i128::from(b.coeff(idx));
+            let (mn, mx) = if carrier == Some(idx.as_str()) && dir != 0 {
                 // Two instances with i¹ − i² = −d·δ, δ >= 1 (dir=−1 means
                 // i¹ < i²). Extremize ca·i¹ − cb·i² over lo <= i¹,i² <= hi
                 // with the ordering constraint.
@@ -138,24 +141,20 @@ pub fn banerjee_test(
                     feasible = false; // cannot have two distinct iterations
                     break;
                 }
-                let (mn, mx) = extremize_ordered(ca, cb, lo, hi, dir);
-                min += mn;
-                max += mx;
+                extremize_ordered(ca, cb, lo, hi, dir)?
             } else {
                 // Independent instances (or same loop not the carrier —
                 // conservatively treat instances as unconstrained).
-                let term = |c: i64| -> (i64, i64) {
-                    if c >= 0 {
-                        (c * lo, c * hi)
-                    } else {
-                        (c * hi, c * lo)
-                    }
+                let term = |c: i128| -> Option<(i128, i128)> {
+                    let (l, h) = (c.checked_mul(lo)?, c.checked_mul(hi)?);
+                    Some((l.min(h), l.max(h)))
                 };
-                let (amn, amx) = term(ca);
-                let (bmn, bmx) = term(cb);
-                min += amn - bmx;
-                max += amx - bmn;
-            }
+                let (amn, amx) = term(ca)?;
+                let (bmn, bmx) = term(cb)?;
+                (amn.checked_sub(bmx)?, amx.checked_sub(bmn)?)
+            };
+            min = min.checked_add(mn)?;
+            max = max.checked_add(mx)?;
         }
         if feasible && min <= 0 && 0 <= max {
             return Some(DepAnswer::MaybeDependent);
@@ -166,31 +165,25 @@ pub fn banerjee_test(
 
 /// Extreme values of `ca·x − cb·y` for `lo <= x, y <= hi` with `x < y`
 /// (`dir == -1`) or `x > y` (`dir == 1`). Brute interval reasoning via the
-/// substitution `y = x + δ, δ >= 1` (or symmetric).
-fn extremize_ordered(ca: i64, cb: i64, lo: i64, hi: i64, dir: i64) -> (i64, i64) {
+/// substitution `y = x + δ, δ >= 1` (or symmetric). `None` on overflow.
+fn extremize_ordered(ca: i128, cb: i128, lo: i128, hi: i128, dir: i64) -> Option<(i128, i128)> {
     // Enumerate corner candidates: for affine objectives on a lattice
     // polytope the extrema sit at vertices: (x, y) ∈ {(lo, lo+1), (lo, hi),
     // (hi-1, hi)} for x<y and mirrored for x>y.
-    let cands: [(i64, i64); 3] = if dir == -1 {
+    let cands: [(i128, i128); 3] = if dir == -1 {
         [(lo, lo + 1), (lo, hi), (hi - 1, hi)]
     } else {
         [(lo + 1, lo), (hi, lo), (hi, hi - 1)]
     };
-    let mut mn = i64::MAX;
-    let mut mx = i64::MIN;
+    let mut extremes: Option<(i128, i128)> = None;
     for (x, y) in cands {
         if x < lo || x > hi || y < lo || y > hi {
             continue;
         }
-        let v = ca * x - cb * y;
-        mn = mn.min(v);
-        mx = mx.max(v);
+        let v = ca.checked_mul(x)?.checked_sub(cb.checked_mul(y)?)?;
+        extremes = Some(extremes.map_or((v, v), |(mn, mx)| (mn.min(v), mx.max(v))));
     }
-    if mn == i64::MAX {
-        (0, 0)
-    } else {
-        (mn, mx)
-    }
+    Some(extremes.unwrap_or((0, 0)))
 }
 
 #[cfg(test)]

@@ -267,7 +267,7 @@ fn expand_region(
 }
 
 /// Expands a single range over the index. Returns `(range, exact)` or
-/// `None` for Ω.
+/// `None` for Ω, also when a coefficient overflows.
 fn expand_range(
     r: &Range,
     ctx: &LoopCtx,
@@ -283,17 +283,19 @@ fn expand_range(
     let (cl, _) = r.lo.affine_decompose(var)?;
     let (cu, _) = r.hi.affine_decompose(var)?;
 
-    let at = |e: &Expr, v: &Expr| e.subst_var(var, v);
+    let at = |e: &Expr, v: &Expr| e.try_subst_var(var, v);
 
     // Single-element-per-iteration dimension: lo == hi as polynomials.
     if r.lo == r.hi {
         let c = cl;
         debug_assert_ne!(c, 0);
-        let stride = c.unsigned_abs() as i64 * ctx.step;
+        let stride = i64::try_from(c.unsigned_abs())
+            .ok()?
+            .checked_mul(ctx.step)?;
         let (nl, nh) = if c > 0 {
-            (at(&r.lo, lo_e), at(&r.lo, hi_e))
+            (at(&r.lo, lo_e)?, at(&r.lo, hi_e)?)
         } else {
-            (at(&r.lo, hi_e), at(&r.lo, lo_e))
+            (at(&r.lo, hi_e)?, at(&r.lo, lo_e)?)
         };
         return Some((Range::new(nl, nh, Expr::from(stride)), step_aligned));
     }
@@ -306,22 +308,22 @@ fn expand_range(
     if cl >= 0 && cu >= 0 {
         // Monotonically nondecreasing bounds. Contiguity of consecutive
         // iterations: l(i + step) <= u(i) + 1, i.e. l + cl*step <= u + 1.
-        let shifted = r.lo.clone() + Expr::from(cl * ctx.step);
-        let contiguous = prove_le(case, &shifted, &(r.hi.clone() + Expr::one()));
+        let shifted = r.lo.try_add(&Expr::from(cl.checked_mul(ctx.step)?))?;
+        let contiguous = prove_le(case, &shifted, &r.hi.try_add(&Expr::one())?);
         if contiguous || cl == 0 {
-            let nl = at(&r.lo, lo_e);
-            let nh = at(&r.hi, hi_e);
+            let nl = at(&r.lo, lo_e)?;
+            let nh = at(&r.hi, hi_e)?;
             return Some((Range::contiguous(nl, nh), contiguous || cl == 0));
         }
         return None;
     }
     if cl <= 0 && cu <= 0 {
         // Monotonically nonincreasing bounds.
-        let shifted = r.hi.clone() + Expr::from(cu * ctx.step);
-        let contiguous = prove_le(case, &r.lo, &(shifted + Expr::one()));
+        let shifted = r.hi.try_add(&Expr::from(cu.checked_mul(ctx.step)?))?;
+        let contiguous = prove_le(case, &r.lo, &shifted.try_add(&Expr::one())?);
         if contiguous || cu == 0 {
-            let nl = at(&r.lo, hi_e);
-            let nh = at(&r.hi, lo_e);
+            let nl = at(&r.lo, hi_e)?;
+            let nh = at(&r.hi, lo_e)?;
             return Some((Range::contiguous(nl, nh), contiguous || cu == 0));
         }
         return None;
@@ -330,14 +332,14 @@ fn expand_range(
         // Growing in both directions: nested intervals, the last covers all
         // (when each iteration's interval is valid, which the guard
         // carries).
-        let nl = at(&r.lo, hi_e);
-        let nh = at(&r.hi, hi_e);
+        let nl = at(&r.lo, hi_e)?;
+        let nh = at(&r.hi, hi_e)?;
         return Some((Range::contiguous(nl, nh), true));
     }
     // cl > 0 && cu < 0: shrinking from both sides — union is the first
     // iteration's interval.
-    let nl = at(&r.lo, lo_e);
-    let nh = at(&r.hi, lo_e);
+    let nl = at(&r.lo, lo_e)?;
+    let nh = at(&r.hi, lo_e)?;
     Some((Range::contiguous(nl, nh), true))
 }
 
@@ -479,7 +481,7 @@ mod tests {
     #[test]
     fn guard_bounds_prune_iterations() {
         // [i >= 5, A(i)] over i in 1..3: no iteration qualifies → empty.
-        let g = Gar::element(Pred::atom(Atom::ge(e("i"), e("5"))), [e("i")]);
+        let g = Gar::element(Pred::atom(Atom::ge(e("i"), e("5")).unwrap()), [e("i")]);
         let ctx = LoopCtx::new("i", e("1"), e("3"));
         let out = expand_gar(&g, &ctx);
         assert!(GarList::from_gars(out).definitely_empty());

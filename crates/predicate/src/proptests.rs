@@ -24,10 +24,10 @@ fn arb_affine() -> impl Strategy<Value = Expr> {
 
 fn arb_atom() -> impl Strategy<Value = Atom> {
     (arb_affine(), arb_affine(), 0u8..4).prop_map(|(a, b, k)| match k {
-        0 => Atom::lt(a, b),
-        1 => Atom::le(a, b),
-        2 => Atom::eq(a, b),
-        _ => Atom::ne(a, b),
+        0 => Atom::lt(a, b).unwrap(),
+        1 => Atom::le(a, b).unwrap(),
+        2 => Atom::eq(a, b).unwrap(),
+        _ => Atom::ne(a, b).unwrap(),
     })
 }
 
