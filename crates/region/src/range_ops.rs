@@ -216,7 +216,7 @@ pub fn range_subtract(ctx: &Pred, r1: &Range, r2: &Range) -> Option<Vec<Guarded<
         let (l2c, u2c) = (r2.lo.as_const(), r2.hi.as_const());
         if let (Some(l2), Some(u2)) = (l2c, u2c) {
             let snapped = if u2 >= l2 {
-                u2 - (u2 - l2).rem_euclid(step)
+                u2 - u2.checked_sub(l2)?.rem_euclid(step)
             } else {
                 u2
             };
@@ -228,7 +228,8 @@ pub fn range_subtract(ctx: &Pred, r1: &Range, r2: &Range) -> Option<Vec<Guarded<
     subtract_same_grid(ctx, r1, r2, &Expr::one())
 }
 
-/// Difference of two ranges known to lie on the same grid with step `s`.
+/// Difference of two ranges known to lie on the same grid with step `s`;
+/// `None` when a bound overflows.
 fn subtract_same_grid(ctx: &Pred, r1: &Range, r2: &Range, s: &Expr) -> Option<Vec<Guarded<Range>>> {
     let mut out: Vec<Guarded<Range>> = Vec::new();
 
@@ -245,14 +246,14 @@ fn subtract_same_grid(ctx: &Pred, r1: &Range, r2: &Range, s: &Expr) -> Option<Ve
             // Case A: intersection non-empty — two surrounding pieces.
             let in_case = case.and(&d_valid);
             if !in_case.is_false() {
-                let left = Range::new(r1.lo.clone(), dlo.clone() - s.clone(), s.clone());
+                let left = Range::new(r1.lo.clone(), dlo.try_sub(s)?, s.clone());
                 if !left.definitely_empty() {
                     let g = in_case.and(&left.validity());
                     if !g.is_false() {
                         out.push((g, left));
                     }
                 }
-                let right = Range::new(dhi.clone() + s.clone(), r1.hi.clone(), s.clone());
+                let right = Range::new(dhi.try_add(s)?, r1.hi.clone(), s.clone());
                 if !right.definitely_empty() {
                     let g = in_case.and(&right.validity());
                     if !g.is_false() {
