@@ -16,8 +16,8 @@ fn random_region(rng: &mut StdRng) -> Region {
     let symbolic = rng.random_bool(0.4);
     if symbolic {
         Region::from_ranges([Range::contiguous(
-            Expr::var("a") + Expr::from(lo),
-            Expr::var("a") + Expr::from(lo + len),
+            Expr::var("a").try_add(&Expr::from(lo)).unwrap(),
+            Expr::var("a").try_add(&Expr::from(lo + len)).unwrap(),
         )])
     } else {
         Region::from_ranges([Range::contiguous(Expr::from(lo), Expr::from(lo + len))])
@@ -88,8 +88,8 @@ fn bench_pred_ops(c: &mut Criterion) {
 
 fn bench_expansion(c: &mut Criterion) {
     // The §4.1 example: [c <= i+1 <= d, (1:i)] expanded over a <= i <= b.
-    let guard = Pred::le(Expr::var("c"), Expr::var("i") + Expr::from(1))
-        .and(&Pred::le(Expr::var("i") + Expr::from(1), Expr::var("d")));
+    let i1 = Expr::var("i").try_add(&Expr::one()).unwrap();
+    let guard = Pred::le(Expr::var("c"), i1.clone()).and(&Pred::le(i1, Expr::var("d")));
     let gar = Gar::new(
         guard,
         Region::from_ranges([Range::contiguous(Expr::from(1), Expr::var("i"))]),

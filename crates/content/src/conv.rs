@@ -43,7 +43,7 @@ pub fn to_sym(e: &FExpr, ctx: &Ctx) -> Option<Expr> {
                 _ => None,
             }
         }
-        FExpr::Un(UnOp::Neg, a) => Some(to_sym(a, ctx)?.negate()),
+        FExpr::Un(UnOp::Neg, a) => to_sym(a, ctx)?.try_negate(),
         _ => None,
     }
 }

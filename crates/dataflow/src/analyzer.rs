@@ -1771,26 +1771,18 @@ impl<'a> Analyzer<'a> {
         let mut loop_sum = Summary::new();
         let mut sets: BTreeMap<String, ArraySets> = BTreeMap::new();
 
-        match (&lo_sym, &hi_sym, step_const) {
-            (Some(lo_e), Some(hi_e), Some(step_c)) => {
-                // Normalize negative steps: same iteration set ascending.
-                let (lo_e, hi_e, step_c) = if step_c > 0 {
-                    (lo_e.clone(), hi_e.clone(), step_c)
-                } else {
-                    match (lo_e.as_const(), hi_e.as_const()) {
-                        (Some(l), Some(h)) => {
-                            let s = -step_c;
-                            let count = if h <= l { (l - h) / s } else { -1 };
-                            let first = l - count.max(0) * s;
-                            (Expr::from(first), Expr::from(l), s)
-                        }
-                        _ => {
-                            // Symbolic descending loop: conservative.
-                            (hi_e.clone(), lo_e.clone(), -step_c)
-                        }
-                    }
-                };
-                let step_e = Expr::from(step_c);
+        let ascending = match (&lo_sym, &hi_sym, step_const) {
+            (Some(lo_e), Some(hi_e), Some(step_c)) => ascending_bounds(lo_e, hi_e, step_c, var),
+            _ => None,
+        };
+        match ascending {
+            Some(AscendingBounds {
+                lo: lo_e,
+                hi: hi_e,
+                step: step_c,
+                before,
+                after,
+            }) => {
                 let k = self.fresh.next(var);
 
                 for arr in body.arrays() {
@@ -1804,21 +1796,15 @@ impl<'a> Analyzer<'a> {
 
                     // MOD_<i: rename i→k, expand k over [lo, i - step].
                     let mod_k = rename_var(&mod_i, var, k.as_str());
-                    let mut ctx_lt = LoopCtx::new(
-                        k.as_str().to_string(),
-                        lo_e.clone(),
-                        Expr::var(var) - step_e.clone(),
-                    );
+                    let mut ctx_lt =
+                        LoopCtx::new(k.as_str().to_string(), lo_e.clone(), before.clone());
                     ctx_lt.step = step_c;
                     ctx_lt.forall_ext = self.opts.forall_ext;
                     let mod_lt = self.fuel_clamp(expand_list(&mod_k, &ctx_lt));
 
                     // MOD_>i.
-                    let mut ctx_gt = LoopCtx::new(
-                        k.as_str().to_string(),
-                        Expr::var(var) + step_e.clone(),
-                        hi_e.clone(),
-                    );
+                    let mut ctx_gt =
+                        LoopCtx::new(k.as_str().to_string(), after.clone(), hi_e.clone());
                     ctx_gt.step = step_c;
                     ctx_gt.forall_ext = self.opts.forall_ext;
                     let mod_gt = self.fuel_clamp(expand_list(&mod_k, &ctx_gt));
@@ -1850,8 +1836,9 @@ impl<'a> Analyzer<'a> {
                     );
                 }
             }
-            _ => {
-                // Bounds not representable: forget the index everywhere.
+            None => {
+                // Bounds not representable (or overflowing): forget the
+                // index everywhere.
                 for arr in body.arrays() {
                     let m =
                         GarList::from_gars(sanitize(&body.mod_of(&arr)).gars().iter().map(|g| {
@@ -1932,19 +1919,26 @@ impl<'a> Analyzer<'a> {
             // held across the iteration range. The recorded lo/hi carry the
             // condition's *index expression*; instantiate them at the loop
             // ends (coefficient of the index is 1, so monotone).
-            match (&lo_sym, &hi_sym, step_const) {
-                (Some(lo_e), Some(hi_e), Some(1)) => {
-                    let cnt = self.fresh.next(&format!("{scalar}.cnt"));
-                    let before = env.int_value(&scalar);
-                    env.set_int(&scalar, before + Expr::var(cnt.clone()));
-                    let registered = CounterFact {
-                        lo: fact.lo.subst_var(var, lo_e),
-                        hi: fact.hi.subst_var(var, hi_e),
-                        ..fact
-                    };
+            // An instantiation that overflows clobbers the scalar.
+            let ends = match (&lo_sym, &hi_sym, step_const) {
+                (Some(lo_e), Some(hi_e), Some(1)) => fact
+                    .lo
+                    .try_subst_var(var, lo_e)
+                    .zip(fact.hi.try_subst_var(var, hi_e)),
+                _ => None,
+            };
+            let counted = ends.and_then(|(lo, hi)| {
+                let cnt = self.fresh.next(&format!("{scalar}.cnt"));
+                let after = env.int_value(&scalar).try_add(&Expr::var(cnt.clone()))?;
+                Some((cnt, after, lo, hi))
+            });
+            match counted {
+                Some((cnt, after, lo, hi)) => {
+                    env.set_int(&scalar, after);
+                    let registered = CounterFact { lo, hi, ..fact };
                     self.facts.insert(cnt.as_str().to_string(), registered);
                 }
-                _ => {
+                None => {
                     env.clobber(&scalar, &mut self.fresh);
                 }
             }
@@ -2760,6 +2754,48 @@ fn forget_guard_dep(list: &GarList, array: &str) -> GarList {
             g.clone()
         }
     }))
+}
+
+/// A loop's iteration set as an ascending range, with the bounds of the
+/// iterations before and after the current one.
+struct AscendingBounds {
+    lo: Expr,
+    hi: Expr,
+    step: i64,
+    /// `var - step`, the last iteration before the current one.
+    before: Expr,
+    /// `var + step`, the first iteration after it.
+    after: Expr,
+}
+
+/// Normalizes `DO var = lo, hi, step` (`step != 0`) to the same iteration
+/// set ascending. A symbolic descending loop keeps its bounds swapped,
+/// which is conservative. `None` when the arithmetic overflows; the
+/// caller then forgets the index.
+fn ascending_bounds(lo: &Expr, hi: &Expr, step: i64, var: &str) -> Option<AscendingBounds> {
+    let (lo, hi, step) = if step > 0 {
+        (lo.clone(), hi.clone(), step)
+    } else {
+        let s = step.checked_neg()?;
+        match (lo.as_const(), hi.as_const()) {
+            (Some(l), Some(h)) => {
+                let count = if h <= l { l.checked_sub(h)? / s } else { -1 };
+                let first = l.checked_sub(count.max(0).checked_mul(s)?)?;
+                (Expr::from(first), Expr::from(l), s)
+            }
+            _ => (hi.clone(), lo.clone(), s),
+        }
+    };
+    let step_e = Expr::from(step);
+    let before = Expr::var(var).try_sub(&step_e)?;
+    let after = Expr::var(var).try_add(&step_e)?;
+    Some(AscendingBounds {
+        lo,
+        hi,
+        step,
+        before,
+        after,
+    })
 }
 
 /// Scalar variables read by an expression.

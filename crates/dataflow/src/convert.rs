@@ -82,7 +82,7 @@ fn to_sym_inner(e: &FExpr, ctx: &ConvertCtx) -> Option<Expr> {
                 _ => None,
             }
         }
-        FExpr::Un(UnOp::Neg, a) => Some(to_sym_inner(a, ctx)?.negate()),
+        FExpr::Un(UnOp::Neg, a) => to_sym_inner(a, ctx)?.try_negate(),
         _ => None,
     }
 }
@@ -309,6 +309,10 @@ mod tests {
     use super::*;
     use fortran::parse_program;
 
+    fn e(s: &str) -> Expr {
+        sym::parse_expr(s).unwrap()
+    }
+
     fn with_ctx<R>(src: &str, f: impl FnOnce(&ConvertCtx) -> R) -> R {
         let program = parse_program(src).unwrap();
         let sema = fortran::analyze(&program).unwrap();
@@ -350,14 +354,8 @@ mod tests {
     fn to_sym_basics() {
         with_ctx(DECLS, |ctx| {
             assert_eq!(to_sym(&fexpr("3"), ctx), Some(Expr::from(3)));
-            assert_eq!(
-                to_sym(&fexpr("n + 1"), ctx),
-                Some(Expr::var("n") + Expr::from(1))
-            );
-            assert_eq!(
-                to_sym(&fexpr("2 * i - m"), ctx),
-                Some(Expr::var("i") * 2 - Expr::var("m"))
-            );
+            assert_eq!(to_sym(&fexpr("n + 1"), ctx), Some(e("n + 1")));
+            assert_eq!(to_sym(&fexpr("2 * i - m"), ctx), Some(e("2*i - m")));
             // real scalar not representable as integer expr
             assert_eq!(to_sym(&fexpr("x"), ctx), None);
             // array element not representable
@@ -365,13 +363,10 @@ mod tests {
             // parameter constant folds
             assert_eq!(to_sym(&fexpr("size"), ctx), Some(Expr::from(64)));
             // exact division
-            assert_eq!(to_sym(&fexpr("(4 * n) / 2"), ctx), Some(Expr::var("n") * 2));
+            assert_eq!(to_sym(&fexpr("(4 * n) / 2"), ctx), Some(e("2*n")));
             assert_eq!(to_sym(&fexpr("n / 2"), ctx), None);
             // power
-            assert_eq!(
-                to_sym(&fexpr("i ** 2"), ctx),
-                Some(Expr::var("i") * Expr::var("i"))
-            );
+            assert_eq!(to_sym(&fexpr("i ** 2"), ctx), Some(e("i^2")));
         });
     }
 
@@ -455,7 +450,7 @@ mod tests {
             let atom = p.disjs()[0].as_unit().unwrap().clone();
             match atom {
                 Atom::Cond { index, deps, .. } => {
-                    assert_eq!(index, Expr::var("kc") + Expr::from(4));
+                    assert_eq!(index, e("kc + 4"));
                     // deps: the array b and the scalar cut2
                     let names: Vec<&str> = deps.iter().map(|d| d.as_str()).collect();
                     assert!(names.contains(&"b"));

@@ -500,7 +500,7 @@ fn const_eval(e: &Expr, consts: &BTreeMap<String, i64>) -> Option<i64> {
     match e {
         Expr::Int(v) => Some(*v),
         Expr::Var(n) => consts.get(n).copied(),
-        Expr::Un(UnOp::Neg, a) => const_eval(a, consts).map(|v| -v),
+        Expr::Un(UnOp::Neg, a) => const_eval(a, consts)?.checked_neg(),
         Expr::Bin(op, a, b) => {
             let x = const_eval(a, consts)?;
             let y = const_eval(b, consts)?;
@@ -508,7 +508,7 @@ fn const_eval(e: &Expr, consts: &BTreeMap<String, i64>) -> Option<i64> {
                 BinOp::Add => x.checked_add(y),
                 BinOp::Sub => x.checked_sub(y),
                 BinOp::Mul => x.checked_mul(y),
-                BinOp::Div if y != 0 => Some(x / y),
+                BinOp::Div => x.checked_div(y),
                 BinOp::Pow if (0..=31).contains(&y) => x.checked_pow(y as u32),
                 _ => None,
             }

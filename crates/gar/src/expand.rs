@@ -139,15 +139,20 @@ pub fn expand_gar(gar: &Gar, ctx: &LoopCtx) -> Vec<Gar> {
                 let mut ok = true;
                 for (template, index, deps, positive) in &forall_atoms {
                     // index is affine in var with coefficient 1: index =
-                    // var + c. Quantify over [lo_e + c, hi_e + c].
+                    // var + c. Quantify over [lo_e + c, hi_e + c]; an
+                    // overflowing bound drops the Under piece.
                     let Some((1, off)) = index.affine_decompose(&ctx.var) else {
+                        ok = false;
+                        break;
+                    };
+                    let (Some(lo), Some(hi)) = (lo_e.try_add(&off), hi_e.try_add(&off)) else {
                         ok = false;
                         break;
                     };
                     fa_guard = fa_guard.and_atom(Atom::ForallCond {
                         template: template.clone(),
-                        lo: lo_e.clone() + off.clone(),
-                        hi: hi_e.clone() + off,
+                        lo,
+                        hi,
                         deps: deps.clone(),
                         positive: *positive,
                     });

@@ -341,13 +341,19 @@ fn try_merge(a: &Gar, b: &Gar) -> Option<Vec<Gar>> {
     // Equal guards: try a geometric merge of the regions.
     if a.guard == b.guard {
         let merged = region_union_merge(&a.guard, &a.region, &b.region)?;
-        if merged.len() <= 2 {
-            return Some(
-                merged
-                    .into_iter()
-                    .map(|(p, r)| Gar::with_approx(a.guard.and(&p), r, a.approx))
-                    .collect(),
-            );
+        if merged.len() > 2 {
+            return None;
+        }
+        let pieces: Vec<Gar> = merged
+            .into_iter()
+            .map(|(p, r)| Gar::with_approx(a.guard.and(&p), r, a.approx))
+            .collect();
+        // A case split whose case guards overflowed to Δ can hand back
+        // the operands themselves; taking that as a merge would repeat
+        // it forever.
+        let unchanged = pieces.len() == 2 && pieces.contains(a) && pieces.contains(b);
+        if !unchanged {
+            return Some(pieces);
         }
     }
     None
@@ -380,6 +386,17 @@ mod tests {
 
     fn r1d(lo: &str, hi: &str) -> Region {
         Region::from_ranges([Range::contiguous(e(lo), e(hi))])
+    }
+
+    #[test]
+    fn merge_that_reproduces_its_operands_terminates() {
+        // Under `MAX - 1 < i`, the case guards of `(1:i - MAX) ∪ (1:10)`
+        // overflow to Δ, so the case split hands back both operands.
+        let d = Pred::lt(e("9223372036854775806"), e("i")).and(&Pred::unknown());
+        let a = Gar::with_approx(d.clone(), r1d("1", "i - 9223372036854775807"), Approx::Over);
+        let b = Gar::with_approx(d, r1d("1", "10"), Approx::Over);
+        let u = GarList::from_gars([a, b]);
+        assert_eq!(u.len(), 2);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use sym::{Env, Expr};
 fn arb_bound() -> impl Strategy<Value = Expr> {
     (any::<bool>(), -6i64..10).prop_map(|(use_a, c)| {
         if use_a {
-            Expr::var("a") + Expr::from(c)
+            Expr::var("a").try_add(&Expr::from(c)).unwrap()
         } else {
             Expr::from(c)
         }
@@ -136,8 +136,8 @@ proptest! {
         env in arb_env(),
     ) {
         // per-iteration GAR: [i <= guard_c + a?, A(i + off)]
-        let guard = Pred::le(Expr::var("i"), Expr::var("a") + Expr::from(guard_c));
-        let g = Gar::element(guard, [Expr::var("i") + Expr::from(off)]);
+        let guard = Pred::le(Expr::var("i"), Expr::var("a").try_add(&Expr::from(guard_c)).unwrap());
+        let g = Gar::element(guard, [Expr::var("i").try_add(&Expr::from(off)).unwrap()]);
         let ctx = LoopCtx::new("i", Expr::from(lo), Expr::from(lo + span));
         let out = GarList::from_gars(expand_gar(&g, &ctx));
 

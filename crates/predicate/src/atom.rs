@@ -144,13 +144,14 @@ impl Atom {
         }
     }
 
-    /// The exact logical complement of this atom. Callers check
-    /// [`Atom::has_complement`] first; without one, `e < 0` with an
-    /// `i64::MIN` coefficient panics.
-    pub fn complement(&self) -> Atom {
-        match self {
+    /// The exact logical complement of this atom, `None` when it has no
+    /// expressible one: a `∀` (its complement is an `∃`), or an `e < 0`
+    /// whose complement `-e - 1 < 0` overflows (an `i64::MIN`
+    /// coefficient). Callers treat `None` as unknown.
+    pub fn complement(&self) -> Option<Atom> {
+        Some(match self {
             // ¬(e < 0) == (e >= 0) == (-e - 1 < 0)
-            Atom::Rel(e, RelOp::Lt) => Atom::Rel(e.negate() - Expr::one(), RelOp::Lt),
+            Atom::Rel(e, RelOp::Lt) => Atom::Rel(e.try_negate()?.try_sub(&Expr::one())?, RelOp::Lt),
             Atom::Rel(e, RelOp::Eq) => Atom::Rel(e.clone(), RelOp::Ne),
             Atom::Rel(e, RelOp::Ne) => Atom::Rel(e.clone(), RelOp::Eq),
             Atom::Bool(v, b) => Atom::Bool(v.clone(), !b),
@@ -165,22 +166,8 @@ impl Atom {
                 deps: deps.clone(),
                 positive: !positive,
             },
-            // The complement of a ∀ is an ∃, which the representation cannot
-            // express; callers treat this as unknown. We signal it by
-            // returning the ∀ unchanged and letting `Pred::not` detect it.
-            Atom::ForallCond { .. } => self.clone(),
-        }
-    }
-
-    /// `true` iff this atom has an expressible exact complement: it is
-    /// not a `∀`, and it is not an `e < 0` whose complement `-e - 1 < 0`
-    /// overflows (an `i64::MIN` coefficient).
-    pub fn has_complement(&self) -> bool {
-        match self {
-            Atom::ForallCond { .. } => false,
-            Atom::Rel(e, RelOp::Lt) => e.terms().iter().all(|t| t.coef != i64::MIN),
-            _ => true,
-        }
+            Atom::ForallCond { .. } => return None,
+        })
     }
 
     /// Constant-folds the atom: `Some(true/false)` if it is a tautology or
@@ -403,11 +390,12 @@ mod tests {
     #[test]
     fn complement_involution() {
         let a = Atom::lt(e("i"), e("n")).unwrap();
-        assert_eq!(a.complement().complement().canon(), a.clone().canon());
+        let twice = a.complement().and_then(|c| c.complement());
+        assert_eq!(twice.map(Atom::canon), Some(a.clone().canon()));
         let b = Atom::Bool(Name::new("p"), true);
-        assert_eq!(b.complement(), Atom::Bool(Name::new("p"), false));
+        assert_eq!(b.complement(), Some(Atom::Bool(Name::new("p"), false)));
         let q = Atom::eq(e("i"), e("0")).unwrap();
-        assert_eq!(q.complement().complement(), q);
+        assert_eq!(q.complement().and_then(|c| c.complement()), Some(q));
     }
 
     #[test]
@@ -416,7 +404,7 @@ mod tests {
         let a = Atom::lt(e("i"), e("n")).unwrap();
         let c = a.complement();
         // i >= n == n <= i == n - i - 1 < 0
-        assert_eq!(c, Atom::ge(e("i"), e("n")).unwrap());
+        assert_eq!(c, Atom::ge(e("i"), e("n")));
     }
 
     #[test]

@@ -33,7 +33,8 @@ pub struct VarBounds {
 /// (mark the region unknown), exactly as the paper prescribes for
 /// non-representable substitutions.
 ///
-/// Returns `None` when `var` occurs but cannot be fully solved. When `var`
+/// Returns `None` when `var` occurs but cannot be fully solved, which
+/// includes a bound whose arithmetic overflows. When `var`
 /// does not occur at all the result has empty bound lists and `residual`
 /// equal to the input.
 pub fn bounds_on(pred: &Pred, var: &str) -> Option<VarBounds> {
@@ -59,16 +60,16 @@ pub fn bounds_on(pred: &Pred, var: &str) -> Option<VarBounds> {
                 let (c, rest) = e.affine_decompose(var)?;
                 match c {
                     // var + rest < 0  ⇔  var <= -rest - 1
-                    1 => his.push(rest.negate() - Expr::one()),
+                    1 => his.push(rest.try_negate()?.try_sub(&Expr::one())?),
                     // -var + rest < 0  ⇔  var >= rest + 1
-                    -1 => los.push(rest + Expr::one()),
+                    -1 => los.push(rest.try_add(&Expr::one())?),
                     _ => return None,
                 }
             }
             Atom::Rel(e, RelOp::Eq) => {
                 let (c, rest) = e.affine_decompose(var)?;
                 let v = match c {
-                    1 => rest.negate(),
+                    1 => rest.try_negate()?,
                     -1 => rest,
                     _ => return None,
                 };

@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn complementary_pair_is_tautology() {
         let a = Atom::lt(e("i"), e("n")).unwrap();
-        let d = Disj::from_atoms([a.clone(), a.complement()]);
+        let d = Disj::from_atoms([a.clone(), a.complement().unwrap()]);
         assert!(d.simplified().is_none());
     }
 

@@ -200,10 +200,10 @@ impl Pred {
                 for d in disjs {
                     let mut clause_neg = Pred::tru();
                     for a in d.atoms() {
-                        if !a.has_complement() {
+                        let Some(c) = a.complement() else {
                             return Pred::unknown();
-                        }
-                        clause_neg = clause_neg.and_atom(a.complement());
+                        };
+                        clause_neg = clause_neg.and_atom(c);
                     }
                     result = result.or(&clause_neg);
                 }
@@ -406,18 +406,15 @@ fn simplify_cnf(first: &[Disj], second: &[Disj], unknown: bool) -> Pred {
             for (k, d) in clauses.iter().enumerate() {
                 if let Some(Atom::Rel(e, RelOp::Eq)) = d.as_unit() {
                     for name in e.vars() {
-                        if let Some((c, rest)) = e.affine_decompose(name.as_str()) {
-                            match c {
-                                1 => {
-                                    defs.push((k, name.as_str().to_string(), rest.negate()));
-                                    break;
-                                }
-                                -1 => {
-                                    defs.push((k, name.as_str().to_string(), rest));
-                                    break;
-                                }
-                                _ => {}
-                            }
+                        // A definition whose negation overflows is skipped.
+                        let val = match e.affine_decompose(name.as_str()) {
+                            Some((1, rest)) => rest.try_negate(),
+                            Some((-1, rest)) => Some(rest),
+                            _ => None,
+                        };
+                        if let Some(val) = val {
+                            defs.push((k, name.as_str().to_string(), val));
+                            break;
                         }
                     }
                 }
@@ -539,12 +536,12 @@ mod tests {
         assert_eq!(Pred::le(min, e("i")), Pred::unknown());
         // A leading i64::MIN coefficient cannot be negated: `canon`
         // keeps the sign instead of panicking.
-        let lead = Expr::var("i") * i64::MIN;
+        let lead = Expr::var("i").try_scale(i64::MIN).unwrap();
         let a = Atom::Rel(lead.clone(), RelOp::Eq).canon();
         assert_eq!(a, Atom::Rel(lead.clone(), RelOp::Eq));
         // Nor can `MIN*i < 0` be complemented: its negation is Δ.
         let lt = Atom::Rel(lead, RelOp::Lt);
-        assert!(!lt.has_complement());
+        assert_eq!(lt.complement(), None);
         assert_eq!(Pred::atom(lt).not(), Pred::unknown());
     }
 

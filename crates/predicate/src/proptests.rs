@@ -17,8 +17,10 @@ fn arb_affine() -> impl Strategy<Value = Expr> {
         0usize..VARS.len(),
         -2i64..3,
     )
-        .prop_map(|(c0, v1, c1, v2, c2)| {
-            Expr::from(c0) + Expr::var(VARS[v1]) * c1 + Expr::var(VARS[v2]) * c2
+        .prop_filter_map("overflow", |(c0, v1, c1, v2, c2)| {
+            Expr::from(c0)
+                .try_add(&Expr::var(VARS[v1]).try_scale(c1)?)?
+                .try_add(&Expr::var(VARS[v2]).try_scale(c2)?)
         })
 }
 

@@ -133,7 +133,7 @@ impl<'a> Complemented<'a> {
     /// The exact complement, `None` when the atom has none.
     pub(crate) fn complement(&self) -> Option<&Atom> {
         self.complement
-            .get_or_init(|| self.atom.has_complement().then(|| self.atom.complement()))
+            .get_or_init(|| self.atom.complement())
             .as_ref()
     }
 

@@ -15,7 +15,7 @@ use sym::{Env, Expr};
 fn arb_bound() -> impl Strategy<Value = Expr> {
     (any::<bool>(), -8i64..12).prop_map(|(use_a, c)| {
         if use_a {
-            Expr::var("a") + Expr::from(c)
+            Expr::var("a").try_add(&Expr::from(c)).unwrap()
         } else {
             Expr::from(c)
         }

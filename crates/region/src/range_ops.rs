@@ -297,11 +297,9 @@ pub fn range_union_merge(ctx: &Pred, r1: &Range, r2: &Range) -> Option<Vec<Guard
     };
     // Union of two intervals is one interval iff they overlap or touch:
     // l2 <= u1 + s  and  l1 <= u2 + s. Both must be provable.
-    let touch1 = r2.lo.clone();
-    let lim1 = r1.hi.clone() + step.clone();
-    let touch2 = r1.lo.clone();
-    let lim2 = r2.hi.clone() + step.clone();
-    if !(prove_le(ctx, &touch1, &lim1) && prove_le(ctx, &touch2, &lim2)) {
+    let lim1 = r1.hi.try_add(&step)?;
+    let lim2 = r2.hi.try_add(&step)?;
+    if !(prove_le(ctx, &r2.lo, &lim1) && prove_le(ctx, &r1.lo, &lim2)) {
         return None;
     }
     let mut out = Vec::new();

@@ -151,6 +151,10 @@ mod tests {
         Expr::var(n)
     }
 
+    fn e(s: &str) -> Expr {
+        crate::parse_expr(s).unwrap()
+    }
+
     #[test]
     fn constant_comparisons() {
         assert_eq!(compare(&Expr::from(1), &Expr::from(2)), SymOrdering::Less);
@@ -163,15 +167,15 @@ mod tests {
 
     #[test]
     fn symbolic_equal_after_normalization() {
-        let a = (v("i") + Expr::from(1)) * Expr::from(2);
-        let b = v("i") * Expr::from(2) + Expr::from(2);
+        let a = e("(i + 1) * 2");
+        let b = e("i*2 + 2");
         assert_eq!(compare(&a, &b), SymOrdering::Equal);
     }
 
     #[test]
     fn offset_comparison() {
         let a = v("n");
-        let b = v("n") + Expr::from(1);
+        let b = e("n + 1");
         assert_eq!(compare(&a, &b), SymOrdering::Less);
         assert!(compare(&a, &b).is_le());
         assert!(!compare(&a, &b).is_ge());
@@ -186,15 +190,14 @@ mod tests {
     #[test]
     fn diff_const_for_merging() {
         // (a+1) - a == 1, the adjacency test used in range union
-        assert_eq!(diff_const(&(v("a") + Expr::from(1)), &v("a")), Some(1));
+        assert_eq!(diff_const(&e("a + 1"), &v("a")), Some(1));
         assert_eq!(diff_const(&v("a"), &v("b")), None);
     }
 
     #[test]
     fn sum_const_of_negated_pairs() {
         // (n - i + 2) + (i - n) == 2
-        let a = v("n") - v("i") + Expr::from(2);
-        assert_eq!(sum_const(&a, &(v("i") - v("n"))), Some(2));
+        assert_eq!(sum_const(&e("n - i + 2"), &e("i - n")), Some(2));
         assert_eq!(sum_const(&v("i"), &v("i")), None);
         // -MIN overflows in a difference but not in a sum.
         let min = Expr::from(i64::MIN);

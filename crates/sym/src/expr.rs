@@ -6,7 +6,6 @@ use crate::term::Term;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::ops::{Add, Mul, Neg, Sub};
 
 /// A symbolic integer expression in canonical sum-of-products form.
 ///
@@ -51,11 +50,6 @@ impl Expr {
         }
         out.retain(|t| t.coef != 0);
         Some(Expr { terms: out })
-    }
-
-    /// Like [`Expr::try_from_terms`] but panics on overflow.
-    pub fn from_terms(terms: impl IntoIterator<Item = Term>) -> Self {
-        Expr::try_from_terms(terms).expect("coefficient overflow in Expr::from_terms")
     }
 
     /// The terms, in canonical order.
@@ -142,8 +136,8 @@ impl Expr {
     }
 
     /// Exact division by an integer constant: `Some` iff every coefficient is
-    /// divisible by `c` (and `c != 0`). This is the paper's "division with an
-    /// integer constant divisor".
+    /// divisible by `c` (and `c != 0`) and no quotient overflows. This is the
+    /// paper's "division with an integer constant divisor".
     pub fn div_exact(&self, c: i64) -> Option<Expr> {
         if c == 0 {
             return None;
@@ -152,20 +146,14 @@ impl Expr {
             .terms
             .iter()
             .map(|t| {
-                if t.coef % c == 0 {
-                    Some(Term::new(t.coef / c, t.mono.clone()))
+                if t.coef.checked_rem(c)? == 0 {
+                    Some(Term::new(t.coef.checked_div(c)?, t.mono.clone()))
                 } else {
                     None
                 }
             })
             .collect::<Option<Vec<_>>>()?;
         Some(Expr { terms })
-    }
-
-    /// Negation; panics on an `i64::MIN` coefficient. See
-    /// [`Expr::try_negate`].
-    pub fn negate(&self) -> Expr {
-        self.try_negate().expect("negate overflow")
     }
 
     /// Checked negation: `None` iff some coefficient is `i64::MIN`.
@@ -268,12 +256,6 @@ impl Expr {
         Some(acc)
     }
 
-    /// Substitution; panics on overflow. See [`Expr::try_subst_var`].
-    pub fn subst_var(&self, name: &str, value: &Expr) -> Expr {
-        self.try_subst_var(name, value)
-            .expect("coefficient overflow in substitution")
-    }
-
     /// Evaluates under an environment binding every variable to an integer.
     /// `None` if a variable is unbound or arithmetic overflows.
     pub fn eval(&self, env: &Env) -> Option<i64> {
@@ -320,55 +302,6 @@ impl From<&str> for Expr {
     }
 }
 
-impl Add for Expr {
-    type Output = Expr;
-    fn add(self, rhs: Expr) -> Expr {
-        self.try_add(&rhs).expect("overflow in Expr + Expr")
-    }
-}
-
-impl Sub for Expr {
-    type Output = Expr;
-    fn sub(self, rhs: Expr) -> Expr {
-        self.try_sub(&rhs).expect("overflow in Expr - Expr")
-    }
-}
-
-impl Mul for Expr {
-    type Output = Expr;
-    fn mul(self, rhs: Expr) -> Expr {
-        self.try_mul(&rhs).expect("overflow in Expr * Expr")
-    }
-}
-
-impl Neg for Expr {
-    type Output = Expr;
-    fn neg(self) -> Expr {
-        self.negate()
-    }
-}
-
-impl Add<i64> for Expr {
-    type Output = Expr;
-    fn add(self, rhs: i64) -> Expr {
-        self + Expr::from(rhs)
-    }
-}
-
-impl Sub<i64> for Expr {
-    type Output = Expr;
-    fn sub(self, rhs: i64) -> Expr {
-        self - Expr::from(rhs)
-    }
-}
-
-impl Mul<i64> for Expr {
-    type Output = Expr;
-    fn mul(self, rhs: i64) -> Expr {
-        self.try_scale(rhs).expect("overflow in Expr * i64")
-    }
-}
-
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.terms.is_empty() {
@@ -397,9 +330,14 @@ impl fmt::Display for Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_expr;
 
     fn v(n: &str) -> Expr {
         Expr::var(n)
+    }
+
+    fn e(s: &str) -> Expr {
+        parse_expr(s).unwrap()
     }
 
     #[test]
@@ -413,65 +351,62 @@ mod tests {
 
     #[test]
     fn add_merges_and_cancels() {
-        let e = v("i") + v("i");
+        let e = v("i").try_add(&v("i")).unwrap();
         assert_eq!(e.to_string(), "2*i");
-        let z = v("i") - v("i");
+        let z = v("i").try_sub(&v("i")).unwrap();
         assert!(z.is_zero());
     }
 
     #[test]
     fn canonical_ordering_display() {
         // 2*(i+1) - i == i + 2
-        let e = (v("i") + Expr::from(1)) * Expr::from(2) - v("i");
-        assert_eq!(e.to_string(), "i + 2");
+        let sum = v("i").try_add(&Expr::one()).unwrap();
+        let e2 = sum.try_scale(2).unwrap().try_sub(&v("i")).unwrap();
+        assert_eq!(e2.to_string(), "i + 2");
         // products sort before linear terms (grlex)
-        let e2 = v("a") + v("i") * v("j");
-        assert_eq!(e2.to_string(), "i*j + a");
+        assert_eq!(e("a + i*j").to_string(), "i*j + a");
     }
 
     #[test]
     fn mul_distributes() {
-        let e = (v("i") + Expr::from(1)) * (v("i") - Expr::from(1));
-        assert_eq!(e.to_string(), "i^2 - 1");
+        let p = e("i + 1").try_mul(&e("i - 1")).unwrap();
+        assert_eq!(p.to_string(), "i^2 - 1");
     }
 
     #[test]
     fn subst_simple() {
-        let e = v("i") * Expr::from(3) + v("j");
-        let r = e.subst_var("i", &(v("k") + Expr::from(2)));
+        let r = e("3*i + j").try_subst_var("i", &e("k + 2")).unwrap();
         assert_eq!(r.to_string(), "j + 3*k + 6");
     }
 
     #[test]
     fn subst_power() {
-        let e = v("i") * v("i");
-        let r = e.subst_var("i", &(v("j") + Expr::from(1)));
+        let r = e("i*i").try_subst_var("i", &e("j + 1")).unwrap();
         assert_eq!(r.to_string(), "j^2 + 2*j + 1");
     }
 
     #[test]
     fn subst_absent_is_identity() {
-        let e = v("i") + Expr::from(4);
-        assert_eq!(e.subst_var("q", &Expr::from(9)), e);
+        let x = e("i + 4");
+        assert_eq!(x.try_subst_var("q", &Expr::from(9)), Some(x));
     }
 
     #[test]
     fn div_exact_works() {
-        let e = v("i") * Expr::from(4) + Expr::from(8);
-        assert_eq!(e.div_exact(4).unwrap().to_string(), "i + 2");
-        assert!(e.div_exact(3).is_none());
-        assert!(e.div_exact(0).is_none());
+        let x = e("4*i + 8");
+        assert_eq!(x.div_exact(4).unwrap().to_string(), "i + 2");
+        assert!(x.div_exact(3).is_none());
+        assert!(x.div_exact(0).is_none());
+        assert!(Expr::from(i64::MIN).div_exact(-1).is_none());
     }
 
     #[test]
     fn affine_decompose_basic() {
-        let e = v("i") * Expr::from(2) + v("n") - Expr::from(1);
-        let (c, rest) = e.affine_decompose("i").unwrap();
+        let (c, rest) = e("2*i + n - 1").affine_decompose("i").unwrap();
         assert_eq!(c, 2);
         assert_eq!(rest.to_string(), "n - 1");
         // i*j is not affine in i
-        let e2 = v("i") * v("j");
-        assert!(e2.affine_decompose("i").is_none());
+        assert!(e("i*j").affine_decompose("i").is_none());
         // absent var decomposes with c = 0
         let (c0, r0) = Expr::from(7).affine_decompose("i").unwrap();
         assert_eq!(c0, 0);
@@ -480,16 +415,15 @@ mod tests {
 
     #[test]
     fn max_vars_per_term_flags_products_of_indices() {
-        assert_eq!((v("i") * v("j")).max_vars_per_term(), 2);
-        assert_eq!((v("i") + v("j")).max_vars_per_term(), 1);
+        assert_eq!(e("i*j").max_vars_per_term(), 2);
+        assert_eq!(e("i + j").max_vars_per_term(), 1);
         assert_eq!(Expr::from(3).max_vars_per_term(), 0);
     }
 
     #[test]
     fn eval_env() {
         let env = Env::from_pairs([("i", 3), ("j", 4)]);
-        let e = v("i") * v("j") + Expr::from(1);
-        assert_eq!(e.eval(&env), Some(13));
+        assert_eq!(e("i*j + 1").eval(&env), Some(13));
         let missing = v("q");
         assert_eq!(missing.eval(&env), None);
     }
@@ -505,6 +439,6 @@ mod tests {
     fn as_var() {
         assert_eq!(v("i").as_var().unwrap().as_str(), "i");
         assert!(Expr::from(3).as_var().is_none());
-        assert!((v("i") * Expr::from(2)).as_var().is_none());
+        assert!(e("2*i").as_var().is_none());
     }
 }

@@ -31,22 +31,30 @@
 //!
 //! # Overflow
 //!
-//! Coefficient arithmetic is checked. The operator impls (`+`, `-`, `*`)
-//! and [`Expr::negate`] panic on `i64` overflow; `try_add`/`try_sub`/
-//! `try_mul` return `None` instead. Source programs reach the extremes
-//! easily — a literal `-9223372036854775807 - 1`, a subscript
-//! `i * 9223372036854775807` — so every path from a program's text into
-//! an expression must use the checked forms and degrade (e.g. to the
-//! unknown guard Δ) on `None`.
+//! There is no panicking arithmetic. Every operation that can overflow
+//! an `i64` coefficient returns `Option` — [`Expr::try_add`],
+//! [`Expr::try_sub`], [`Expr::try_mul`], [`Expr::try_scale`],
+//! [`Expr::try_negate`], [`Expr::try_subst_var`],
+//! [`Expr::try_from_terms`], [`Expr::div_exact`] — and [`parse_expr`]
+//! returns a [`ParseError`]. `Expr` implements no arithmetic operator.
+//! Source programs reach the extremes easily — a literal
+//! `-9223372036854775807 - 1`, a subscript `i * 9223372036854775807` —
+//! so each caller decides how to degrade on `None` (e.g. to the unknown
+//! guard Δ).
 //!
 //! # Example
 //!
 //! ```
+//! # fn main() { example().unwrap() }
+//! # fn example() -> Option<()> {
 //! use sym::Expr;
 //! let i = Expr::var("i");
-//! let e = (i.clone() + Expr::from(1)) * Expr::from(2) - i.clone();
+//! let e = i.try_add(&Expr::one())?.try_scale(2)?.try_sub(&i)?;
 //! assert_eq!(e.to_string(), "i + 2");
-//! assert_eq!(e.subst_var("i", &Expr::from(3)).as_const(), Some(5));
+//! assert_eq!(e.try_subst_var("i", &Expr::from(3))?.as_const(), Some(5));
+//! assert_eq!(Expr::from(i64::MIN).try_negate(), None);
+//! # Some(())
+//! # }
 //! ```
 
 #![warn(missing_docs)]

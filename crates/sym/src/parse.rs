@@ -104,7 +104,9 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'-') => {
                 self.bump();
-                Ok(self.factor()?.negate())
+                self.factor()?
+                    .try_negate()
+                    .ok_or_else(|| self.err("overflow in negation"))
             }
             Some(b'(') => {
                 self.bump();
@@ -233,6 +235,7 @@ mod tests {
         assert!(parse_expr("i +").is_err());
         assert!(parse_expr("(i").is_err());
         assert!(parse_expr("i j").is_err());
+        assert!(parse_expr("-(-9223372036854775807 - 1)").is_err());
     }
 
     #[test]

@@ -19,10 +19,10 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     ];
     leaf.prop_recursive(3, 24, 3, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a + b),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a - b),
+            (inner.clone(), inner.clone()).prop_filter_map("add overflow", |(a, b)| a.try_add(&b)),
+            (inner.clone(), inner.clone()).prop_filter_map("sub overflow", |(a, b)| a.try_sub(&b)),
             (inner.clone(), inner.clone()).prop_filter_map("mul overflow", |(a, b)| a.try_mul(&b)),
-            inner.prop_map(|a| -a),
+            inner.prop_filter_map("neg overflow", |a| a.try_negate()),
         ]
     })
 }

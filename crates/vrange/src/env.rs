@@ -230,14 +230,14 @@ mod tests {
         let mut env = RangeEnv::new();
         env.set("n", iv(1, 10));
         // 2*n + 3 ∈ [5, 23]
-        let e = Expr::var("n") * Expr::from(2) + Expr::from(3);
+        let e = sym::parse_expr("2*n + 3").unwrap();
         let r = eval_sym(&e, &env, &Budget::default());
         assert_eq!(r.interval, Interval::new(Some(5), Some(23)));
     }
 
     #[test]
     fn eval_unbound_var_is_top() {
-        let e = Expr::var("q") + Expr::from(1);
+        let e = sym::parse_expr("q + 1").unwrap();
         let r = eval_sym(&e, &RangeEnv::new(), &Budget::default());
         assert!(r.interval.is_top());
     }
@@ -246,7 +246,7 @@ mod tests {
     fn eval_product_and_power() {
         let mut env = RangeEnv::new();
         env.set("i", iv(2, 3));
-        let e = Expr::var("i") * Expr::var("i");
+        let e = sym::parse_expr("i*i").unwrap();
         let r = eval_sym(&e, &env, &Budget::default());
         assert_eq!(r.interval, Interval::new(Some(4), Some(9)));
     }
@@ -255,7 +255,7 @@ mod tests {
     fn exhausted_budget_degrades_to_top() {
         let mut env = RangeEnv::new();
         env.set("n", iv(1, 10));
-        let e = Expr::var("n") * Expr::from(2) + Expr::from(3);
+        let e = sym::parse_expr("2*n + 3").unwrap();
         let b = Budget::new(0);
         assert!(eval_sym(&e, &env, &b).is_top());
         assert!(b.degraded());

@@ -144,7 +144,7 @@ mod tests {
         entry.set("k", iv(0, 0));
         let assigns = [ScalarAssign {
             var: "k".into(),
-            rhs: Some(Expr::var("k") + Expr::from(1)),
+            rhs: Some(sym::parse_expr("k + 1").unwrap()),
         }];
         let out = loop_fixpoint(&entry, None, &assigns, &Budget::default());
         let k = out.get("k").interval;
@@ -157,7 +157,7 @@ mod tests {
         let entry = RangeEnv::new();
         let assigns = [ScalarAssign {
             var: "j".into(),
-            rhs: Some(Expr::var("i") + Expr::from(1)),
+            rhs: Some(sym::parse_expr("i + 1").unwrap()),
         }];
         let out = loop_fixpoint(
             &entry,

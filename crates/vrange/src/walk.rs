@@ -637,7 +637,9 @@ pub fn eval_ast(e: &Expr, env: &RangeEnv, budget: &Budget) -> ValueRange {
                 BinOp::Sub => ra.sub(&rb),
                 BinOp::Mul => ra.mul(&rb),
                 BinOp::Div => match (ra.as_const(), rb.as_const()) {
-                    (Some(x), Some(y)) if y != 0 => ValueRange::constant(x / y),
+                    (Some(x), Some(y)) => x
+                        .checked_div(y)
+                        .map_or(ValueRange::TOP, ValueRange::constant),
                     _ => ValueRange::TOP,
                 },
                 BinOp::Pow => match (ra.as_const(), rb.as_const()) {

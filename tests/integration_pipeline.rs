@@ -211,13 +211,16 @@ fn two_dim_regions_flow_through() {
     assert!(v.parallel_after_privatization);
 }
 
-/// Programs whose relations or subscripts overflow `i64` when normalized:
-/// `i - n` with `n = i64::MIN`, the region validity guard of
-/// `a(i * i64::MAX)`, the ELSE guard `-e - 1 < 0` of `e < 0` with an
-/// `i64::MIN` coefficient, and the bounds of what survives subtracting
-/// `a(i + i64::MAX)` in the array-content pass. Each used to panic the
-/// analyzer.
-const OVERFLOWING: [(&str, &str); 5] = [
+/// Programs whose relations, subscripts, loop bounds or constants
+/// overflow `i64` when normalized: `i - n` with `n = i64::MIN`, the region
+/// validity guard of `a(i * i64::MAX)`, the ELSE guard `-e - 1 < 0` of
+/// `e < 0` with an `i64::MIN` coefficient, the bounds of what survives
+/// subtracting `a(i + i64::MAX)` in the array-content pass, the negation
+/// of an `i64::MIN` coefficient in a subscript and in a relation, the
+/// expansion bound `i - step` of a loop stepping by `i64::MIN`, and
+/// `i64::MIN / -1` (and `-i64::MIN`) in a subscript, a scalar's value
+/// range and a PARAMETER. Each used to panic the analyzer.
+const OVERFLOWING: [(&str, &str); 12] = [
     (
         "eq_min",
         "
@@ -287,28 +290,167 @@ const OVERFLOWING: [(&str, &str); 5] = [
       END
 ",
     ),
+    (
+        "neg_subscript",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(10)
+      DO i = 1, 10
+        a(-(i * (-9223372036854775807 - 1))) = 1.0
+      ENDDO
+      END
+",
+    ),
+    (
+        "neg_relation",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(10)
+      DO i = 1, 10
+        IF (-(-9223372036854775807 - 1) .LT. i) THEN
+          a(i) = 1.0
+        ENDIF
+      ENDDO
+      END
+",
+    ),
+    (
+        "step_min",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(10)
+      DO 10 i = 1, 10, -9223372036854775807-1
+        a(i) = 1.0
+   10 CONTINUE
+      END
+",
+    ),
+    (
+        "div_subscript",
+        "
+      PROGRAM t
+      REAL a(10)
+      a((-9223372036854775807-1) / (-1)) = 1.0
+      END
+",
+    ),
+    (
+        "div_range",
+        "
+      PROGRAM t
+      INTEGER i, n
+      REAL a(10)
+      n = (-9223372036854775807-1) / (-1)
+      DO i = 1, 10
+        a(i) = n
+      ENDDO
+      END
+",
+    ),
+    (
+        "param_div",
+        "
+      PROGRAM t
+      INTEGER i, m
+      PARAMETER (m = (-9223372036854775807-1) / (-1))
+      REAL a(10)
+      DO i = 1, 10
+        a(i) = m
+      ENDDO
+      END
+",
+    ),
+    (
+        "param_neg",
+        "
+      PROGRAM t
+      INTEGER i, m
+      PARAMETER (m = -(-9223372036854775807-1))
+      REAL a(10)
+      DO i = 1, 10
+        a(i) = m
+      ENDDO
+      END
+",
+    ),
 ];
 
-#[test]
-fn overflowing_relations_degrade_to_unknown_guards() {
+/// Analyzes `src` under the default profile and under `forall+content`,
+/// with emission and the oracle: the analysis must succeed and no verdict
+/// may be refuted.
+fn assert_degrades_soundly(name: &str, src: &str) {
     let content = Options {
         content: true,
         forall_ext: true,
         ..Options::default()
     };
+    for opts in [Options::default(), content] {
+        let out = driver::run(&driver::Request {
+            opts,
+            oracle: true,
+            emit: true,
+            ..driver::Request::new(src)
+        })
+        .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}\n{src}"));
+        assert!(
+            !out.soundness_violation(),
+            "{name}: oracle refutes a verdict\n{src}"
+        );
+    }
+}
+
+#[test]
+fn overflowing_relations_degrade_to_unknown_guards() {
     for (name, src) in OVERFLOWING {
-        for opts in [Options::default(), content] {
-            let out = driver::run(&driver::Request {
-                opts,
-                oracle: true,
-                emit: true,
-                ..driver::Request::new(src)
-            })
-            .unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-            assert!(
-                !out.soundness_violation(),
-                "{name}: oracle refutes a verdict"
+        assert_degrades_soundly(name, src);
+    }
+}
+
+/// The `i64` extremes and their neighbours as Fortran literals
+/// (`i64::MIN` has no literal of its own).
+const EXTREME_LITERALS: [&str; 6] = [
+    "(-9223372036854775807 - 1)",
+    "(-9223372036854775807)",
+    "(-1)",
+    "1",
+    "9223372036854775806",
+    "9223372036854775807",
+];
+
+/// One statement each, `@` standing for a literal: a subscript, unary
+/// minus, the three DO bounds, an IF relation, a PARAMETER, and `/`, `*`
+/// and `-`.
+const EXTREME_TEMPLATES: [&str; 10] = [
+    "DO i = 1, 10\n a(i + @) = 1.0\nENDDO",
+    "DO i = 1, 10\n a(-(i * @)) = 1.0\nENDDO",
+    "DO i = @, 10\n a(i) = 1.0\nENDDO",
+    "DO i = 1, @\n a(i) = 1.0\nENDDO",
+    "DO i = 1, 10, @\n a(i) = 1.0\nENDDO",
+    "DO i = 1, 10\n IF (@ .LT. i) a(i) = 1.0\nENDDO",
+    "PARAMETER (m = -@)\nDO i = 1, 10\n a(i + m) = 1.0\nENDDO",
+    "DO i = 1, 10\n k = @ / (-1)\n a(k) = 1.0\nENDDO",
+    "DO i = 1, 10\n a(i * @) = 1.0\nENDDO",
+    "DO i = 1, 10\n a(@ - i) = 1.0\nENDDO",
+];
+
+/// Every template filled with every extreme literal degrades soundly: a
+/// deterministic slice over the places a program's text puts integers.
+#[test]
+fn extreme_literals_degrade_soundly() {
+    for template in EXTREME_TEMPLATES {
+        for lit in EXTREME_LITERALS {
+            let body: String = template
+                .replace('@', lit)
+                .lines()
+                .map(|l| format!("      {l}\n"))
+                .collect();
+            let src = format!(
+                "      PROGRAM t\n      INTEGER i, k, m\n      REAL a(10)\n{body}      END\n"
             );
+            assert_degrades_soundly(template, &src);
         }
     }
 }
