@@ -138,18 +138,6 @@ pub fn run_with_cache(
     })
 }
 
-/// Is `array` privatizable in the outermost `routine`/`var` loop?
-/// `false` when the loop (or the array's verdict entry) is absent — the
-/// lookup the figure/table generators repeat for every cell.
-pub fn array_privatizable(analysis: &Analysis, routine: &str, var: &str, array: &str) -> bool {
-    analysis.verdict(routine, var).is_some_and(|v| {
-        v.arrays
-            .iter()
-            .find(|a| a.array == array)
-            .is_some_and(|a| a.privatizable)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,9 +160,6 @@ mod tests {
         let out = run(&Request::new(SRC)).unwrap();
         assert!(out.oracle.is_none());
         assert!(!out.soundness_violation());
-        assert!(array_privatizable(&out.analysis, "t", "i", "w"));
-        assert!(!array_privatizable(&out.analysis, "t", "i", "nosuch"));
-        assert!(!array_privatizable(&out.analysis, "nosuch", "i", "w"));
     }
 
     #[test]

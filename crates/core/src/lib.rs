@@ -97,11 +97,6 @@ impl PhaseTimes {
     pub fn total(&self) -> Duration {
         self.parse + self.sema + self.hsg + self.conventional + self.dataflow
     }
-
-    /// The parser-only bar of Fig. 4.
-    pub fn parser_only(&self) -> Duration {
-        self.parse
-    }
 }
 
 /// The complete result of analyzing one source file.
@@ -365,35 +360,6 @@ pub fn analyze_source_limited(
     })
 }
 
-/// Parses only — the Fig. 4 "parser" baseline.
-pub fn parse_only(src: &str) -> Result<Duration, PanoramaError> {
-    let t0 = Instant::now();
-    let _ = fortran::parse_program(src).map_err(PanoramaError::Parse)?;
-    Ok(t0.elapsed())
-}
-
-/// The Fig. 4 "conventional compiler" proxy: parse + semantic analysis +
-/// HSG + conventional dependence testing + a full code walk (standing in
-/// for classic optimization passes). Returns the elapsed time.
-pub fn conventional_compile_proxy(src: &str) -> Result<Duration, PanoramaError> {
-    let t0 = Instant::now();
-    let program = fortran::parse_program(src).map_err(PanoramaError::Parse)?;
-    let sema = fortran::analyze(&program).map_err(PanoramaError::Sema)?;
-    let _ = hsg::build_hsg(&program).map_err(PanoramaError::Hsg)?;
-    let mut sink = 0usize;
-    for r in &program.routines {
-        let table = &sema.tables[&r.name];
-        visit_loops(&r.body, &mut |stmt| {
-            let _ = deptest::conventional_loop_test(stmt, table);
-        });
-        // A flat code walk approximating codegen-ish passes.
-        count_nodes(&r.body, &mut sink);
-        count_nodes(&r.body, &mut sink);
-    }
-    std::hint::black_box(sink);
-    Ok(t0.elapsed())
-}
-
 fn visit_loops<'a>(body: &'a [fortran::Stmt], f: &mut impl FnMut(&'a fortran::Stmt)) {
     for s in body {
         match &s.kind {
@@ -410,27 +376,6 @@ fn visit_loops<'a>(body: &'a [fortran::Stmt], f: &mut impl FnMut(&'a fortran::St
                 visit_loops(else_body, f);
             }
             fortran::StmtKind::LogicalIf(_, inner) => visit_loops(std::slice::from_ref(inner), f),
-            _ => {}
-        }
-    }
-}
-
-fn count_nodes(body: &[fortran::Stmt], sink: &mut usize) {
-    for s in body {
-        *sink += 1;
-        match &s.kind {
-            fortran::StmtKind::Do { body, .. } => count_nodes(body, sink),
-            fortran::StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_nodes(then_body, sink);
-                count_nodes(else_body, sink);
-            }
-            fortran::StmtKind::LogicalIf(_, inner) => {
-                count_nodes(std::slice::from_ref(inner), sink)
-            }
             _ => {}
         }
     }

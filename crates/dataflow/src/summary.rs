@@ -55,20 +55,6 @@ impl Options {
             ..Options::default()
         }
     }
-
-    /// Conventional baseline: no symbolic, no IF conditions, no
-    /// interprocedural analysis, no value ranges.
-    pub fn conventional() -> Options {
-        Options {
-            symbolic: false,
-            if_conditions: false,
-            interprocedural: false,
-            forall_ext: false,
-            value_range: false,
-            content: false,
-            trace: false,
-        }
-    }
 }
 
 /// The MOD/UE summary of a program segment, for all arrays at once plus

@@ -2,7 +2,7 @@
 
 use crate::error::RuntimeError;
 use crate::lower::{lower, Block, Call, Code, Dim, Do, Ex, Intrinsic, Kind, Routine, Size, Stmt};
-use crate::memory::{flat_index, ArrayStore, Memory, Value};
+use crate::memory::{element_count, flat_index, Memory, Value};
 use crate::parallel::{run_planned_do, ParallelPlan, Planned};
 use crate::trace::{LoopTrace, Tracer};
 use fortran::{BinOp, Program, ProgramSema, UnOp};
@@ -282,12 +282,21 @@ impl<'a> Machine<'a> {
         let Frame { scalars, arrays } = frame;
         for p in &r.params {
             if let (Some(decl), Some(bound)) = (&p.dims, &mut arrays[p.array]) {
-                let total: i64 = bound
-                    .dims
-                    .iter()
-                    .map(|&(l, u)| (u - l + 1).max(0))
-                    .product();
+                // Bound views were checked when made: this cannot overflow.
+                let total = element_count(&bound.dims).unwrap_or(0) as i64;
                 if let Some(dims) = size_dims(decl, scalars, total) {
+                    let len = st.mem.arrays[bound.handle].data.len();
+                    if element_count(&dims).is_none_or(|n| n > len) {
+                        let name = r.locals.iter().find(|l| l.array == p.array);
+                        return Err(RuntimeError::new(
+                            r.name,
+                            format!(
+                                "dummy array {} declared larger than its actual",
+                                name.map_or("?", |l| l.name)
+                            ),
+                        )
+                        .into());
+                    }
                     bound.dims = dims;
                 }
             }
@@ -302,7 +311,10 @@ impl<'a> Machine<'a> {
             let handle = match l.common.map(|c| (c, st.commons[c])) {
                 Some((_, Some(h))) => h,
                 common => {
-                    let h = st.mem.alloc(ArrayStore::new(l.ty, dims.clone()));
+                    let h = st
+                        .mem
+                        .alloc(l.ty, dims.clone())
+                        .map_err(|e| RuntimeError::new(r.name, format!("{}: {e}", l.name)))?;
                     if let Some((c, _)) = common {
                         st.commons[c] = Some(h);
                     }

@@ -102,6 +102,6 @@ mod trace;
 
 pub use error::{ErrorKind, RuntimeError};
 pub use exec::{ExecStats, Machine, DEFAULT_OP_BUDGET};
-pub use memory::{ArrayData, ArrayStore, Memory, Value};
+pub use memory::{ArrayData, ArrayStore, Memory, Value, MAX_ARENA_BYTES};
 pub use parallel::{simulate_speedup, LoopPlan, ParallelPlan, SimResult, THREAD_COST_OPS};
 pub use trace::{ArrayRaces, LoopTrace, RaceClass, RaceWitness};

@@ -220,7 +220,7 @@ fn two_dim_regions_flow_through() {
 /// expansion bound `i - step` of a loop stepping by `i64::MIN`, and
 /// `i64::MIN / -1` (and `-i64::MIN`) in a subscript, a scalar's value
 /// range and a PARAMETER. Each used to panic the analyzer.
-const OVERFLOWING: [(&str, &str); 12] = [
+const OVERFLOWING: [(&str, &str); 17] = [
     (
         "eq_min",
         "
@@ -372,6 +372,72 @@ const OVERFLOWING: [(&str, &str); 12] = [
       REAL a(10)
       DO i = 1, 10
         a(i) = m
+      ENDDO
+      END
+",
+    ),
+    (
+        "extent_max",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(9223372036854775807)
+      DO i = 1, 10
+        a(i) = 1.0
+      ENDDO
+      END
+",
+    ),
+    (
+        "extent_product",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(4294967296, 4294967296)
+      DO i = 1, 10
+        a(i, 1) = 1.0
+      ENDDO
+      END
+",
+    ),
+    (
+        "extent_bounds",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(-9223372036854775807-1:9223372036854775807)
+      DO i = 1, 10
+        a(i) = 1.0
+      ENDDO
+      END
+",
+    ),
+    (
+        "dummy_extent",
+        "
+      PROGRAM t
+      REAL a(8)
+      INTEGER n
+      n = 3000000
+      CALL s(a, n)
+      END
+      SUBROUTINE s(b, n)
+      INTEGER n, i
+      REAL b(n, n, n)
+      DO i = 1, 8
+        b(i, 1, 1) = 1.0
+      ENDDO
+      END
+",
+    ),
+    (
+        "sequence_subscript",
+        "
+      PROGRAM t
+      INTEGER i
+      REAL a(-4611686018427387904:-4611686018427387904, 4)
+      DO i = 1, 4
+        a(4611686018427387904) = 1.0
       ENDDO
       END
 ",
