@@ -295,7 +295,7 @@ mod tests {
             if r.name != caller {
                 continue;
             }
-            visit(&r.body, &mut |s| {
+            fortran::walk_stmts(&r.body, &mut |s| {
                 if let fortran::StmtKind::Call(name, args) = &s.kind {
                     if name == callee {
                         out = Some(classify_call(&sema, caller, callee, &callee_r.params, args));
@@ -304,25 +304,6 @@ mod tests {
             });
         }
         out.expect("call site present")
-    }
-
-    fn visit<'a>(body: &'a [fortran::Stmt], f: &mut impl FnMut(&'a fortran::Stmt)) {
-        for s in body {
-            f(s);
-            match &s.kind {
-                fortran::StmtKind::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    visit(then_body, f);
-                    visit(else_body, f);
-                }
-                fortran::StmtKind::Do { body, .. } => visit(body, f),
-                fortran::StmtKind::LogicalIf(_, inner) => f(inner),
-                _ => {}
-            }
-        }
     }
 
     const CALLEE: &str = "

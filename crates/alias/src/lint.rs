@@ -168,7 +168,7 @@ pub fn lint_program(
             continue;
         };
         lint_equivalences(r, &mut lints);
-        walk_stmts(&r.body, &mut |stmt| {
+        fortran::walk_stmts(&r.body, &mut |stmt| {
             lint_stmt(program, sema, r, table, stmt, interprocedural, &mut lints);
         });
         if value_range {
@@ -387,68 +387,22 @@ fn lint_stmt(
             }
         }
     };
-    each_expr(stmt, &mut |e| {
-        if let Expr::Index(name, subs) = e {
-            check_subs(name, subs, &mut push);
-        }
-    });
+    let mut check_refs = |s: &Stmt| {
+        s.exprs(&mut |e| {
+            e.walk(&mut |e| {
+                if let Expr::Index(name, subs) = e {
+                    check_subs(name, subs, &mut push);
+                }
+            })
+        })
+    };
+    check_refs(stmt);
+    // A logical IF's statement is part of the same statement too.
+    if let StmtKind::LogicalIf(_, inner) = &stmt.kind {
+        check_refs(inner);
+    }
     if let StmtKind::Assign(LValue::Element(name, subs), _) = &stmt.kind {
         check_subs(name, subs, &mut push);
-    }
-}
-
-/// Pre-order walk over nested statements.
-fn walk_stmts<'a>(body: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for s in body {
-        f(s);
-        match &s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk_stmts(then_body, f);
-                walk_stmts(else_body, f);
-            }
-            StmtKind::LogicalIf(_, inner) => {
-                f(inner);
-            }
-            StmtKind::Do { body, .. } => walk_stmts(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// Visits every expression of one statement (not nested statements,
-/// except the body of a logical IF which is part of the same line).
-fn each_expr<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
-    match &stmt.kind {
-        StmtKind::Assign(lv, rhs) => {
-            if let LValue::Element(_, subs) = lv {
-                for s in subs {
-                    s.walk(f);
-                }
-            }
-            rhs.walk(f);
-        }
-        StmtKind::If { cond, .. } => cond.walk(f),
-        StmtKind::LogicalIf(cond, inner) => {
-            cond.walk(f);
-            each_expr(inner, f);
-        }
-        StmtKind::Do { lo, hi, step, .. } => {
-            lo.walk(f);
-            hi.walk(f);
-            if let Some(s) = step {
-                s.walk(f);
-            }
-        }
-        StmtKind::Call(_, args) => {
-            for a in args {
-                a.walk(f);
-            }
-        }
-        _ => {}
     }
 }
 

@@ -209,7 +209,7 @@ pub fn select(
 /// multiplicative site makes the whole chain a product reduction.)
 fn reduction_is_product(body: &[Stmt], s: &str) -> bool {
     let mut found = false;
-    walk_stmts(body, &mut |st| {
+    fortran::walk_stmts(body, &mut |st| {
         if let StmtKind::Assign(LValue::Var(lhs), Expr::Bin(fortran::BinOp::Mul, ..)) = &st.kind {
             if lhs == s {
                 found = true;
@@ -228,7 +228,7 @@ fn reduction_is_product(body: &[Stmt], s: &str) -> bool {
 /// precision, never correctness.
 fn scalars_live_after(routine: &Routine, line: u32, var: &str) -> BTreeSet<String> {
     let mut has_goto = false;
-    walk_stmts(&routine.body, &mut |s| {
+    fortran::walk_stmts(&routine.body, &mut |s| {
         if matches!(s.kind, StmtKind::Goto(_)) {
             has_goto = true;
         }
@@ -236,32 +236,14 @@ fn scalars_live_after(routine: &Routine, line: u32, var: &str) -> BTreeSet<Strin
     let mut live = BTreeSet::new();
     if has_goto {
         // Every scalar may be re-read via a backward jump.
-        walk_stmts(&routine.body, &mut |s| collect_stmt_names(s, &mut live));
+        for s in &routine.body {
+            collect_stmt_names(s, &mut live);
+        }
     } else {
         let mut found = false;
         collect_after(&routine.body, line, var, &mut found, &mut live);
     }
     live
-}
-
-/// Pre-order statement walk over nested bodies.
-fn walk_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Stmt)) {
-    for s in stmts {
-        f(s);
-        match &s.kind {
-            StmtKind::Do { body, .. } => walk_stmts(body, f),
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                walk_stmts(then_body, f);
-                walk_stmts(else_body, f);
-            }
-            StmtKind::LogicalIf(_, inner) => walk_stmts(std::slice::from_ref(inner), f),
-            _ => {}
-        }
-    }
 }
 
 /// Collects identifiers from statements textually after the target loop.
@@ -321,62 +303,20 @@ fn collect_after(
     }
 }
 
-/// Inserts every identifier an expression mentions.
-fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
-    e.walk(&mut |x| match x {
-        Expr::Var(n) | Expr::Index(n, _) => {
-            out.insert(n.clone());
-        }
-        _ => {}
-    });
-}
-
 /// Every identifier a statement mentions (reads and writes — a write-only
 /// occurrence still keeps the copy-out harmless).
 fn collect_stmt_names(s: &Stmt, out: &mut BTreeSet<String>) {
-    match &s.kind {
-        StmtKind::Assign(lv, rhs) => {
-            out.insert(lv.name().to_string());
-            if let LValue::Element(_, subs) = lv {
-                for e in subs {
-                    expr_names(e, out);
-                }
-            }
-            expr_names(rhs, out);
-        }
-        StmtKind::If { cond, .. } => expr_names(cond, out),
-        StmtKind::LogicalIf(cond, _) => expr_names(cond, out),
-        StmtKind::Do { lo, hi, step, .. } => {
-            expr_names(lo, out);
-            expr_names(hi, out);
-            if let Some(e) = step {
-                expr_names(e, out);
-            }
-        }
-        StmtKind::Call(_, args) => {
-            for a in args {
-                expr_names(a, out);
-            }
-        }
-        StmtKind::Goto(_) | StmtKind::Return | StmtKind::Continue | StmtKind::Stop => {}
-    }
     // Nested bodies of the statement are also "after" the loop.
-    match &s.kind {
-        StmtKind::Do { body, .. } => {
-            for t in body {
-                collect_stmt_names(t, out);
-            }
+    s.walk(&mut |s| {
+        if let StmtKind::Assign(lv, _) = &s.kind {
+            out.insert(lv.name().to_string());
         }
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => {
-            for t in then_body.iter().chain(else_body) {
-                collect_stmt_names(t, out);
-            }
-        }
-        StmtKind::LogicalIf(_, inner) => collect_stmt_names(inner, out),
-        _ => {}
-    }
+        s.exprs(&mut |e| {
+            e.walk(&mut |x| {
+                if let Expr::Var(n) | Expr::Index(n, _) = x {
+                    out.insert(n.clone());
+                }
+            })
+        });
+    });
 }

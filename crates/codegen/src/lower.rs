@@ -13,7 +13,7 @@
 //! wrapping arithmetic and are planned.
 
 use crate::clauses::Clauses;
-use fortran::{Routine, Stmt, StmtKind, SymbolKind, SymbolTable, Ty};
+use fortran::{Routine, SymbolKind, SymbolTable, Ty};
 use interp::LoopPlan;
 use privatize::{LoopVerdict, ProvEntry};
 
@@ -132,32 +132,4 @@ fn scalar_ty(table: &SymbolTable, name: &str) -> Option<Ty> {
         Some(SymbolKind::Scalar(t)) => Some(*t),
         _ => None,
     }
-}
-
-/// Counts `DO` statements (at any nesting depth) using `var` as index.
-pub fn count_do_with_var(stmts: &[Stmt], var: &str) -> usize {
-    let mut n = 0;
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Do { var: v, body, .. } => {
-                if v == var {
-                    n += 1;
-                }
-                n += count_do_with_var(body, var);
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                n += count_do_with_var(then_body, var);
-                n += count_do_with_var(else_body, var);
-            }
-            StmtKind::LogicalIf(_, inner) => {
-                n += count_do_with_var(std::slice::from_ref(inner), var);
-            }
-            _ => {}
-        }
-    }
-    n
 }

@@ -31,7 +31,7 @@
 //! anywhere in the body, and degrades to ⊤ when the step budget runs
 //! out.
 
-use crate::conv::{canon, canon_subs, names_of, region_of, to_sym, Ctx};
+use crate::conv::{canon, canon_subs, collect_assigned, names_of, region_of, to_sym, Ctx};
 use fortran::{Expr as FExpr, LValue, Stmt, StmtKind, SymbolTable, UnOp};
 use gar::{expand_list, Gar, GarList, LoopCtx};
 use pred::Pred;
@@ -181,33 +181,6 @@ pub fn analyze_loop_body(
         degraded: w.degraded,
         arrays: w.arrays,
         must: w.must_stack.swap_remove(0),
-    }
-}
-
-/// Every name assigned anywhere below `stmts` (scalar and array targets
-/// plus DO indices) — used to reject guard templates whose free
-/// variables are unstable across the body.
-fn collect_assigned(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign(lv, _) => {
-                out.insert(lv.name().to_string());
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-            StmtKind::LogicalIf(_, s) => collect_assigned(std::slice::from_ref(s), out),
-            StmtKind::Do { var, body, .. } => {
-                out.insert(var.clone());
-                collect_assigned(body, out);
-            }
-            _ => {}
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! walk itself. Anything else becomes an Ω dimension (sound: Ω regions
 //! are never usable as must-defined evidence).
 
-use fortran::{BinOp, Expr as FExpr, SymbolTable, UnOp};
+use fortran::{walk_stmts, BinOp, Expr as FExpr, Stmt, StmtKind, SymbolTable, UnOp};
 use region::{Dim, Region};
 use std::collections::{BTreeMap, BTreeSet};
 use sym::Expr;
@@ -94,21 +94,23 @@ pub fn canon_subs(subs: &[FExpr], idx: Option<&str>) -> String {
 
 /// Every variable name occurring in `e` (scalars, arrays, call names).
 pub fn names_of(e: &FExpr, out: &mut BTreeSet<String>) {
-    match e {
-        FExpr::Var(n) => {
+    e.walk(&mut |x| {
+        if let FExpr::Var(n) | FExpr::Index(n, _) = x {
             out.insert(n.clone());
         }
-        FExpr::Index(n, subs) => {
-            out.insert(n.clone());
-            for s in subs {
-                names_of(s, out);
-            }
+    });
+}
+
+/// Every name assigned anywhere below `stmts`: scalar and array targets
+/// plus DO indices.
+pub fn collect_assigned(stmts: &[Stmt], out: &mut BTreeSet<String>) {
+    walk_stmts(stmts, &mut |s| match &s.kind {
+        StmtKind::Assign(lv, _) => {
+            out.insert(lv.name().to_string());
         }
-        FExpr::Bin(_, a, b) => {
-            names_of(a, out);
-            names_of(b, out);
+        StmtKind::Do { var, .. } => {
+            out.insert(var.clone());
         }
-        FExpr::Un(_, a) => names_of(a, out),
         _ => {}
-    }
+    });
 }

@@ -12,9 +12,9 @@
 //! read, budget exhaustion stops the walk. A lint only fires from facts
 //! proved on the sound side of the approximation.
 
-use crate::conv::{region_of, to_sym, Ctx};
+use crate::conv::{collect_assigned, region_of, to_sym, Ctx};
 use crate::lattice::Content;
-use fortran::{Expr as FExpr, LValue, Routine, Stmt, StmtKind, SymbolTable};
+use fortran::{walk_stmts, Expr as FExpr, LValue, Routine, Stmt, StmtKind, SymbolTable};
 use gar::{expand_list, Gar, GarList, LoopCtx};
 use pred::Pred;
 use region::prove_le;
@@ -68,7 +68,11 @@ const PENDING_CAP: usize = 64;
 /// an error) whenever the routine uses control flow the pass refuses.
 pub fn lint_routine(r: &Routine, table: &SymbolTable, budget: &Budget) -> Vec<Lint> {
     let _span = trace::span("content:lint");
-    if has_goto(&r.body) {
+    let mut has_goto = false;
+    walk_stmts(&r.body, &mut |s| {
+        has_goto |= matches!(s.kind, StmtKind::Goto(_))
+    });
+    if has_goto {
         return Vec::new();
     }
     let mut locals: BTreeSet<String> = r.arrays.iter().map(|(n, _)| n.clone()).collect();
@@ -102,20 +106,6 @@ pub fn lint_routine(r: &Routine, table: &SymbolTable, budget: &Budget) -> Vec<Li
     w.walk(&r.body, 0);
     trace::add("content:lints", w.lints.len() as u64);
     w.lints
-}
-
-fn has_goto(stmts: &[Stmt]) -> bool {
-    stmts.iter().any(|s| match &s.kind {
-        StmtKind::Goto(_) => true,
-        StmtKind::If {
-            then_body,
-            else_body,
-            ..
-        } => has_goto(then_body) || has_goto(else_body),
-        StmtKind::LogicalIf(_, inner) => has_goto(std::slice::from_ref(inner)),
-        StmtKind::Do { body, .. } => has_goto(body),
-        _ => false,
-    })
 }
 
 struct LintWalk<'a> {
@@ -330,7 +320,13 @@ impl LintWalk<'_> {
         // loop-carried reads (a(k-1) after a(k) was written in an
         // earlier iteration) never look uninitialized.
         let mut writes: Vec<(String, Vec<FExpr>)> = Vec::new();
-        collect_writes(body, self.table, &mut writes);
+        walk_stmts(body, &mut |s| {
+            if let StmtKind::Assign(LValue::Element(name, subs), _) = &s.kind {
+                if self.table.is_array(name) {
+                    writes.push((name.clone(), subs.clone()));
+                }
+            }
+        });
         let lctx = match (&lo_sym, &hi_sym) {
             (Some(l), Some(h)) if unit => Some(LoopCtx::new(var, l.clone(), h.clone())),
             _ => None,
@@ -485,73 +481,18 @@ impl LintWalk<'_> {
     }
 }
 
-fn collect_assigned(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign(lv, _) => {
-                out.insert(lv.name().to_string());
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned(then_body, out);
-                collect_assigned(else_body, out);
-            }
-            StmtKind::LogicalIf(_, inner) => collect_assigned(std::slice::from_ref(inner), out),
-            StmtKind::Do { var, body, .. } => {
-                out.insert(var.clone());
-                collect_assigned(body, out);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// All array-element writes below `stmts` (any nesting).
-fn collect_writes(stmts: &[Stmt], table: &SymbolTable, out: &mut Vec<(String, Vec<FExpr>)>) {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign(LValue::Element(name, subs), _) if table.is_array(name) => {
-                out.push((name.clone(), subs.clone()));
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_writes(then_body, table, out);
-                collect_writes(else_body, table, out);
-            }
-            StmtKind::LogicalIf(_, inner) => {
-                collect_writes(std::slice::from_ref(inner), table, out)
-            }
-            StmtKind::Do { body, .. } => collect_writes(body, table, out),
-            _ => {}
-        }
-    }
-}
-
 /// `true` when every statement is an array-element store whose
 /// right-hand side reads no array and calls no function.
 fn init_stores(stmts: &[Stmt]) -> bool {
     stmts.iter().all(|s| match &s.kind {
-        StmtKind::Assign(LValue::Element(_, subs), rhs) => {
-            !has_index(rhs) && subs.iter().all(|e| !has_index(e))
+        StmtKind::Assign(LValue::Element(..), _) => {
+            let mut reads_index = false;
+            s.exprs(&mut |e| e.walk(&mut |x| reads_index |= matches!(x, FExpr::Index(..))));
+            !reads_index
         }
         StmtKind::Continue => true,
         _ => false,
     })
-}
-
-fn has_index(e: &FExpr) -> bool {
-    match e {
-        FExpr::Index(..) => true,
-        FExpr::Bin(_, a, b) => has_index(a) || has_index(b),
-        FExpr::Un(_, a) => has_index(a),
-        _ => false,
-    }
 }
 
 /// The abstract content a store's right-hand side puts into the array.

@@ -1,10 +1,9 @@
 //! The shared parse→analyze→report driver.
 //!
-//! Every front end — the `panorama` CLI, the `panoramad` service and the
-//! table/figure regeneration binaries — funnels through this module
-//! instead of re-implementing the "analyze a source string, optionally
-//! run the race oracle, build the JSON report, look up a verdict"
-//! sequence. One request in, one [`Outcome`] out.
+//! Every front end — the `panorama` CLI and the `panoramad` service —
+//! funnels through this module instead of re-implementing the "analyze a
+//! source string, optionally run the race oracle, build the JSON report,
+//! look up a verdict" sequence. One request in, one [`Outcome`] out.
 
 use crate::{
     analyze_source_limited, json_report, Analysis, FuelLimits, Options, OracleReport,

@@ -113,7 +113,7 @@ pub struct Analysis {
     pub loops: Vec<LoopAnalysis>,
     /// Per-loop verdicts.
     pub verdicts: Vec<LoopVerdict>,
-    /// Loops the conventional pre-filter already proved parallel.
+    /// Loops the conventional tests prove parallel (reported only).
     pub conventional_parallel: Vec<String>,
     /// Engine statistics.
     pub stats: AnalysisStats,
@@ -295,17 +295,19 @@ pub fn analyze_source_limited(
     };
     let t_hsg = t2.elapsed();
 
-    // Conventional pre-filter, as Panorama applies it (§6): loops it
-    // proves parallel don't strictly need the dataflow analysis.
+    // Conventional dependence tests (§6), the no-dataflow baseline: only
+    // reported, no loop skips the dataflow analysis on their verdict.
     let t3 = Instant::now();
     let mut conventional_parallel = Vec::new();
     {
         let _span = trace::span("conventional");
         for r in &program.routines {
             let table = &sema.tables[&r.name];
-            visit_loops(&r.body, &mut |stmt| {
-                if deptest::conventional_loop_test(stmt, table) == deptest::ConvVerdict::Parallel {
-                    if let fortran::StmtKind::Do { var, .. } = &stmt.kind {
+            fortran::walk_stmts(&r.body, &mut |stmt| {
+                if let fortran::StmtKind::Do { var, .. } = &stmt.kind {
+                    if deptest::conventional_loop_test(stmt, table)
+                        == deptest::ConvVerdict::Parallel
+                    {
                         conventional_parallel.push(format!("{}/{}", r.name, var));
                     }
                 }
@@ -358,27 +360,6 @@ pub fn analyze_source_limited(
         lints,
         degrade_reason,
     })
-}
-
-fn visit_loops<'a>(body: &'a [fortran::Stmt], f: &mut impl FnMut(&'a fortran::Stmt)) {
-    for s in body {
-        match &s.kind {
-            fortran::StmtKind::Do { body: inner, .. } => {
-                f(s);
-                visit_loops(inner, f);
-            }
-            fortran::StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                visit_loops(then_body, f);
-                visit_loops(else_body, f);
-            }
-            fortran::StmtKind::LogicalIf(_, inner) => visit_loops(std::slice::from_ref(inner), f),
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

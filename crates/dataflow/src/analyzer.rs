@@ -458,22 +458,7 @@ impl<'a> Analyzer<'a> {
                 let env = Rc::clone(&self.ranges);
                 let budget = Rc::clone(&self.range_budget);
                 Some(sym::bounds::OracleGuard::install(Box::new(
-                    move |diff: &Expr| {
-                        let iv = eval_sym(diff, &env.borrow(), &budget).interval;
-                        if iv.is_empty() {
-                            return None;
-                        }
-                        let ord = if iv.as_const() == Some(0) {
-                            sym::SymOrdering::Equal
-                        } else if iv.hi.is_some_and(|h| h < 0) {
-                            sym::SymOrdering::Less
-                        } else if iv.lo.is_some_and(|l| l > 0) {
-                            sym::SymOrdering::Greater
-                        } else {
-                            return None;
-                        };
-                        Some((ord, format!("{diff} in {iv}")))
-                    },
+                    move |diff: &Expr| vrange::sign_of(diff, &env.borrow(), &budget),
                 )))
             };
             Some((saved_env, saved_budget, saved_refutes, guard))
@@ -2836,36 +2821,14 @@ fn must_scalar_mods(g: &Subgraph, node_must: &[BTreeSet<String>]) -> BTreeSet<St
 /// Locates the body of the DO statement at `line` with index `var` in a
 /// routine's AST (the HSG keeps loop lines, so the pair is unambiguous).
 fn find_do_body<'a>(stmts: &'a [Stmt], line: u32, var: &str) -> Option<&'a [Stmt]> {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Do { var: v, body, .. } => {
-                if s.line == line && v == var {
-                    return Some(body);
-                }
-                if let Some(b) = find_do_body(body, line, var) {
-                    return Some(b);
-                }
-            }
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                if let Some(b) = find_do_body(then_body, line, var)
-                    .or_else(|| find_do_body(else_body, line, var))
-                {
-                    return Some(b);
-                }
-            }
-            StmtKind::LogicalIf(_, inner) => {
-                if let Some(b) = find_do_body(std::slice::from_ref(inner), line, var) {
-                    return Some(b);
-                }
-            }
-            _ => {}
+    let mut found = None;
+    fortran::walk_stmts(stmts, &mut |s| match &s.kind {
+        StmtKind::Do { var: v, body, .. } if found.is_none() && s.line == line && v == var => {
+            found = Some(body.as_slice());
         }
-    }
-    None
+        _ => {}
+    });
+    found
 }
 
 fn rename_var(list: &GarList, from: &str, to: &str) -> GarList {

@@ -144,6 +144,67 @@ pub struct Stmt {
     pub kind: StmtKind,
 }
 
+impl Stmt {
+    /// Visits this statement and every statement nested in it, pre-order:
+    /// a block IF's THEN arm before its ELSE arm, a DO's body, a logical
+    /// IF's statement.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Stmt)) {
+        f(self);
+        match &self.kind {
+            StmtKind::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                walk_stmts(then_body, f);
+                walk_stmts(else_body, f);
+            }
+            StmtKind::LogicalIf(_, inner) => inner.walk(f),
+            StmtKind::Do { body, .. } => walk_stmts(body, f),
+            _ => {}
+        }
+    }
+
+    /// Visits the expressions this statement holds itself, in source
+    /// order: an element target's subscripts then the right-hand side; a
+    /// condition; a DO's `lo`, `hi` and step; CALL arguments. Nested
+    /// statements are not entered, and sub-expressions are left to
+    /// [`Expr::walk`].
+    pub fn exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        match &self.kind {
+            StmtKind::Assign(lv, rhs) => {
+                if let LValue::Element(_, subs) = lv {
+                    for s in subs {
+                        f(s);
+                    }
+                }
+                f(rhs);
+            }
+            StmtKind::If { cond, .. } | StmtKind::LogicalIf(cond, _) => f(cond),
+            StmtKind::Do { lo, hi, step, .. } => {
+                f(lo);
+                f(hi);
+                if let Some(step) = step {
+                    f(step);
+                }
+            }
+            StmtKind::Call(_, args) => {
+                for a in args {
+                    f(a);
+                }
+            }
+            StmtKind::Goto(_) | StmtKind::Return | StmtKind::Continue | StmtKind::Stop => {}
+        }
+    }
+}
+
+/// [`Stmt::walk`] over each statement of a body, in order.
+pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
+    for s in stmts {
+        s.walk(f);
+    }
+}
+
 /// Statement kinds.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub enum StmtKind {
@@ -319,6 +380,48 @@ mod tests {
         let mut n = 0;
         e.walk(&mut |_| n += 1);
         assert_eq!(n, 4); // bin, index, var, int
+    }
+
+    #[test]
+    fn stmt_walk_and_exprs_order() {
+        let p = crate::parser::parse_program(
+            "      SUBROUTINE s(a, n)
+      REAL a(10)
+      IF (n .GT. 0) THEN
+        a(1) = 1.0
+      ELSE
+        a(2) = 2.0
+      ENDIF
+      DO i = 1, n, 2
+        DO j = 1, i
+          a(j) = a(i) + n
+        ENDDO
+        IF (i .EQ. n) a(i) = 0.0
+      ENDDO
+      CALL t(a, n + 1)
+      END
+",
+        )
+        .unwrap();
+        let mut visited = Vec::new();
+        walk_stmts(&p.routines[0].body, &mut |s| visited.push(s));
+        let lines: Vec<u32> = visited.iter().map(|s| s.line).collect();
+        // THEN arm before ELSE arm, DO bodies in order, and the logical
+        // IF (line 12) followed by its statement, visited once.
+        assert_eq!(lines, [3, 4, 6, 8, 9, 10, 12, 12, 14]);
+        assert!(matches!(visited[6].kind, StmtKind::LogicalIf(..)));
+        assert!(matches!(visited[7].kind, StmtKind::Assign(..)));
+
+        let exprs_of = |s: &Stmt| {
+            let mut out = Vec::new();
+            s.exprs(&mut |e| out.push(e.to_string()));
+            out
+        };
+        assert_eq!(exprs_of(visited[5]), ["j", "(a(i)+n)"]);
+        assert_eq!(exprs_of(visited[3]), ["1", "n", "2"]);
+        assert_eq!(exprs_of(visited[8]), ["a", "(n+1)"]);
+        // A logical IF holds its condition only, not its statement's.
+        assert_eq!(exprs_of(visited[6]), ["(i.EQ.n)"]);
     }
 
     #[test]

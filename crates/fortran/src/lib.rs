@@ -27,7 +27,8 @@ pub mod printer;
 mod sema;
 
 pub use ast::{
-    BinOp, DimBound, Expr, LValue, Program, Routine, RoutineKind, Stmt, StmtKind, Ty, UnOp,
+    walk_stmts, BinOp, DimBound, Expr, LValue, Program, Routine, RoutineKind, Stmt, StmtKind, Ty,
+    UnOp,
 };
 pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse_program, ParseError};

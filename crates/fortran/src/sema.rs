@@ -285,27 +285,34 @@ pub fn analyze(program: &Program) -> Result<ProgramSema, SemaError> {
     // Call graph + checks.
     for r in &program.routines {
         let mut callees = BTreeSet::new();
-        collect_calls(&r.body, &mut |name, args| {
-            callees.insert(name.to_string());
-            if let Some(callee) = program.routine(name) {
-                if callee.params.len() != args.len() {
-                    return Err(SemaError {
-                        message: format!(
-                            "call to {name} passes {} args, expected {}",
-                            args.len(),
-                            callee.params.len()
-                        ),
-                        routine: r.name.clone(),
-                    });
-                }
-            } else {
-                return Err(SemaError {
+        let mut first_err = None;
+        walk_stmts(&r.body, &mut |s| {
+            let StmtKind::Call(name, args) = &s.kind else {
+                return;
+            };
+            callees.insert(name.clone());
+            if first_err.is_some() {
+                return;
+            }
+            first_err = match program.routine(name) {
+                Some(callee) if callee.params.len() != args.len() => Some(SemaError {
+                    message: format!(
+                        "call to {name} passes {} args, expected {}",
+                        args.len(),
+                        callee.params.len()
+                    ),
+                    routine: r.name.clone(),
+                }),
+                Some(_) => None,
+                None => Some(SemaError {
                     message: format!("call to unknown subroutine {name}"),
                     routine: r.name.clone(),
-                });
-            }
-            Ok(())
-        })?;
+                }),
+            };
+        });
+        if let Some(e) = first_err {
+            return Err(e);
+        }
         sema.call_graph.insert(r.name.clone(), callees);
     }
     // Topological order, callee-first; detects recursion.
@@ -411,8 +418,27 @@ fn build_table(r: &Routine) -> Result<SymbolTable, SemaError> {
             t.insert(p.clone(), SymbolKind::Scalar(implicit_ty(p)));
         }
     }
+    // Every identifier the executable statements mention, DO indices
+    // included.
     let mut mentioned = BTreeSet::new();
-    collect_names(&r.body, &mut mentioned);
+    walk_stmts(&r.body, &mut |s| {
+        match &s.kind {
+            StmtKind::Assign(lhs, _) => {
+                mentioned.insert(lhs.name().to_string());
+            }
+            StmtKind::Do { var, .. } => {
+                mentioned.insert(var.clone());
+            }
+            _ => {}
+        }
+        s.exprs(&mut |e| {
+            e.walk(&mut |x| {
+                if let Expr::Var(n) | Expr::Index(n, _) = x {
+                    mentioned.insert(n.clone());
+                }
+            })
+        });
+    });
     for name in mentioned {
         if t.get(&name).is_none() && !INTRINSICS.contains(&name.as_str()) {
             t.insert(name.clone(), SymbolKind::Scalar(implicit_ty(&name)));
@@ -716,92 +742,6 @@ fn compute_storage(r: &Routine, t: &mut SymbolTable) -> Result<(), SemaError> {
         }
     }
     Ok(())
-}
-
-/// Walks statements calling `f(name, args)` for every CALL.
-fn collect_calls<'a>(
-    stmts: &'a [Stmt],
-    f: &mut impl FnMut(&'a str, &'a [Expr]) -> Result<(), SemaError>,
-) -> Result<(), SemaError> {
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Call(name, args) => f(name, args)?,
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_calls(then_body, f)?;
-                collect_calls(else_body, f)?;
-            }
-            StmtKind::LogicalIf(_, inner) => collect_calls(std::slice::from_ref(inner), f)?,
-            StmtKind::Do { body, .. } => collect_calls(body, f)?,
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
-/// Collects every identifier mentioned in executable statements.
-fn collect_names(stmts: &[Stmt], out: &mut BTreeSet<String>) {
-    fn expr_names(e: &Expr, out: &mut BTreeSet<String>) {
-        e.walk(&mut |x| match x {
-            Expr::Var(n) => {
-                out.insert(n.clone());
-            }
-            Expr::Index(n, _) => {
-                out.insert(n.clone());
-            }
-            _ => {}
-        });
-    }
-    for s in stmts {
-        match &s.kind {
-            StmtKind::Assign(lhs, rhs) => {
-                out.insert(lhs.name().to_string());
-                if let LValue::Element(_, subs) = lhs {
-                    for sub in subs {
-                        expr_names(sub, out);
-                    }
-                }
-                expr_names(rhs, out);
-            }
-            StmtKind::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                expr_names(cond, out);
-                collect_names(then_body, out);
-                collect_names(else_body, out);
-            }
-            StmtKind::LogicalIf(cond, inner) => {
-                expr_names(cond, out);
-                collect_names(std::slice::from_ref(inner), out);
-            }
-            StmtKind::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-            } => {
-                out.insert(var.clone());
-                expr_names(lo, out);
-                expr_names(hi, out);
-                if let Some(s) = step {
-                    expr_names(s, out);
-                }
-                collect_names(body, out);
-            }
-            StmtKind::Call(_, args) => {
-                for a in args {
-                    expr_names(a, out);
-                }
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]

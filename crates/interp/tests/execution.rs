@@ -2,7 +2,7 @@
 //! executor's bitwise agreement with sequential execution, and the fork
 //! cut-off's decisions.
 
-use fortran::{analyze, parse_program, Stmt, StmtKind};
+use fortran::{analyze, parse_program, walk_stmts, StmtKind};
 use interp::{
     simulate_speedup, ArrayData, ExecStats, LoopPlan, Machine, Memory, ParallelPlan,
     THREAD_COST_OPS,
@@ -23,21 +23,15 @@ fn real_array(mem: &Memory, handle: usize) -> &[f64] {
 }
 
 /// Source line of the `nth` (0-based, in source order) `DO` on `var` in
-/// `routine`, top-level or nested in other DO loops — plans are keyed by
+/// `routine`, at any nesting depth — plans are keyed by
 /// `(routine, var, line)`.
 fn do_line(p: &fortran::Program, routine: &str, var: &str, nth: usize) -> u32 {
-    fn collect(body: &[Stmt], var: &str, out: &mut Vec<u32>) {
-        for s in body {
-            if let StmtKind::Do { var: v, body, .. } = &s.kind {
-                if v == var {
-                    out.push(s.line);
-                }
-                collect(body, var, out);
-            }
-        }
-    }
     let mut lines = Vec::new();
-    collect(&p.routine(routine).expect("routine").body, var, &mut lines);
+    walk_stmts(&p.routine(routine).expect("routine").body, &mut |s| {
+        if matches!(&s.kind, StmtKind::Do { var: v, .. } if v == var) {
+            lines.push(s.line);
+        }
+    });
     *lines.get(nth).expect("DO statement")
 }
 

@@ -22,7 +22,7 @@
 use dataflow::{ContentNote, LoopAnalysis, RangeNote};
 use gar::GarList;
 use serde::Serialize;
-use vrange::{eval_sym, Budget, Interval, RangeEnv, ValueRange, DEFAULT_BUDGET};
+use vrange::{Budget, Interval, RangeEnv, ValueRange, DEFAULT_BUDGET};
 
 /// One step of the decision trace behind a verdict (DESIGN.md §4f).
 ///
@@ -320,22 +320,7 @@ fn install_range_oracle(la: &LoopAnalysis) -> Option<sym::bounds::OracleGuard> {
     }
     let budget = Budget::new(DEFAULT_BUDGET);
     Some(sym::bounds::OracleGuard::install(Box::new(
-        move |diff: &sym::Expr| {
-            let iv = eval_sym(diff, &env, &budget).interval;
-            if iv.is_empty() {
-                return None;
-            }
-            let ord = if iv.as_const() == Some(0) {
-                sym::SymOrdering::Equal
-            } else if iv.hi.is_some_and(|h| h < 0) {
-                sym::SymOrdering::Less
-            } else if iv.lo.is_some_and(|l| l > 0) {
-                sym::SymOrdering::Greater
-            } else {
-                return None;
-            };
-            Some((ord, format!("{diff} in {iv}")))
-        },
+        move |diff: &sym::Expr| vrange::sign_of(diff, &env, &budget),
     )))
 }
 

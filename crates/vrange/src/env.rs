@@ -3,7 +3,7 @@
 use crate::{Budget, Congruence, Interval};
 use std::collections::BTreeMap;
 use std::fmt;
-use sym::Expr;
+use sym::{Expr, SymOrdering};
 
 /// What the pass knows about one scalar: an interval and a congruence,
 /// interpreted conjunctively.
@@ -215,6 +215,27 @@ pub fn eval_sym(e: &Expr, env: &RangeEnv, budget: &Budget) -> ValueRange {
         sum = sum.add(&prod);
     }
     sum
+}
+
+/// The sign of `diff` as its range under `env` proves it, with the
+/// detail `"{diff} in {interval}"`: the answer a [`sym::bounds`]
+/// comparison oracle gives. `None` when the range is empty or straddles
+/// zero.
+pub fn sign_of(diff: &Expr, env: &RangeEnv, budget: &Budget) -> Option<(SymOrdering, String)> {
+    let iv = eval_sym(diff, env, budget).interval;
+    if iv.is_empty() {
+        return None;
+    }
+    let ord = if iv.as_const() == Some(0) {
+        SymOrdering::Equal
+    } else if iv.hi.is_some_and(|h| h < 0) {
+        SymOrdering::Less
+    } else if iv.lo.is_some_and(|l| l > 0) {
+        SymOrdering::Greater
+    } else {
+        return None;
+    };
+    Some((ord, format!("{diff} in {iv}")))
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ mod interval;
 mod walk;
 
 pub use congruence::Congruence;
-pub use env::{eval_sym, RangeEnv, ValueRange};
+pub use env::{eval_sym, sign_of, RangeEnv, ValueRange};
 pub use fixpoint::{loop_fixpoint, ScalarAssign, WIDENING_THRESHOLDS};
 pub use interval::Interval;
 pub use walk::{routine_facts, DeclaredDims, RangeFact, RangeFactKind};

@@ -9,7 +9,7 @@
 //! but never unsound.
 
 use crate::{Budget, Interval, RangeEnv, ValueRange};
-use fortran::{BinOp, Expr, LValue, Routine, Stmt, StmtKind, Ty, UnOp};
+use fortran::{walk_stmts, BinOp, Expr, LValue, Routine, Stmt, StmtKind, Ty, UnOp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Declared (lo, hi) bounds per dimension for each array of a routine,
@@ -89,7 +89,11 @@ pub fn routine_facts(routine: &Routine, dims: &DeclaredDims, budget: &Budget) ->
             }
         }
     }
-    collect_goto_targets(&routine.body, &mut w.goto_targets);
+    walk_stmts(&routine.body, &mut |s| {
+        if let StmtKind::Goto(l) = &s.kind {
+            w.goto_targets.insert(*l);
+        }
+    });
     let mut env = RangeEnv::new();
     // PARAMETER constants are immutable: evaluate them in order (later
     // ones may reference earlier ones).
@@ -137,85 +141,19 @@ fn integer_scalars(routine: &Routine) -> BTreeSet<String> {
             consider(n);
         }
     }
-    let from_stmts = |stmts: &[Stmt]| {
-        let mut names = Vec::new();
-        each_stmt(stmts, &mut |s| {
-            if let StmtKind::Assign(LValue::Var(v), _) = &s.kind {
-                names.push(v.clone());
-            }
-            each_stmt_expr(s, &mut |e| {
-                e.walk(&mut |e| {
-                    if let Expr::Var(v) = e {
-                        names.push(v.clone());
-                    }
-                });
+    walk_stmts(&routine.body, &mut |s| {
+        if let StmtKind::Assign(LValue::Var(v), _) = &s.kind {
+            consider(v);
+        }
+        s.exprs(&mut |e| {
+            e.walk(&mut |e| {
+                if let Expr::Var(v) = e {
+                    consider(v);
+                }
             });
         });
-        names
-    };
-    for n in from_stmts(&routine.body) {
-        consider(&n);
-    }
-    out
-}
-
-fn each_stmt<'a>(stmts: &'a [Stmt], f: &mut impl FnMut(&'a Stmt)) {
-    for s in stmts {
-        f(s);
-        match &s.kind {
-            StmtKind::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                each_stmt(then_body, f);
-                each_stmt(else_body, f);
-            }
-            StmtKind::LogicalIf(_, inner) => {
-                f(inner);
-            }
-            StmtKind::Do { body, .. } => each_stmt(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// Visits the top-level expressions of one statement (not recursing
-/// into nested statements).
-fn each_stmt_expr<'a>(s: &'a Stmt, f: &mut impl FnMut(&'a Expr)) {
-    match &s.kind {
-        StmtKind::Assign(lv, rhs) => {
-            if let LValue::Element(_, subs) = lv {
-                for e in subs {
-                    f(e);
-                }
-            }
-            f(rhs);
-        }
-        StmtKind::If { cond, .. } => f(cond),
-        StmtKind::LogicalIf(cond, _) => f(cond),
-        StmtKind::Do { lo, hi, step, .. } => {
-            f(lo);
-            f(hi);
-            if let Some(st) = step {
-                f(st);
-            }
-        }
-        StmtKind::Call(_, args) => {
-            for a in args {
-                f(a);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn collect_goto_targets(stmts: &[Stmt], out: &mut BTreeSet<u32>) {
-    each_stmt(stmts, &mut |s| {
-        if let StmtKind::Goto(l) = &s.kind {
-            out.insert(*l);
-        }
     });
+    out
 }
 
 impl Walker<'_> {
@@ -235,7 +173,7 @@ impl Walker<'_> {
             *env = RangeEnv::new();
         }
         // Proved-range subscript checks on this statement's expressions.
-        each_stmt_expr(s, &mut |e| self.check_subscripts(s.line, e, env));
+        s.exprs(&mut |e| self.check_subscripts(s.line, e, env));
         if let StmtKind::Assign(LValue::Element(name, subs), _) = &s.kind {
             self.check_element(s.line, name, subs, env);
         }
@@ -596,7 +534,7 @@ fn assigned_scalars(
     common_scalars: &BTreeSet<String>,
 ) -> BTreeSet<String> {
     let mut out = BTreeSet::new();
-    each_stmt(stmts, &mut |s| match &s.kind {
+    walk_stmts(stmts, &mut |s| match &s.kind {
         StmtKind::Assign(LValue::Var(v), _) if int_scalars.contains(v) => {
             out.insert(v.clone());
         }

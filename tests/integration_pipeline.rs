@@ -487,9 +487,11 @@ const EXTREME_LITERALS: [&str; 6] = [
 ];
 
 /// One statement each, `@` standing for a literal: a subscript, unary
-/// minus, the three DO bounds, an IF relation, a PARAMETER, and `/`, `*`
-/// and `-`.
-const EXTREME_TEMPLATES: [&str; 10] = [
+/// minus, the three DO bounds, an IF relation, a PARAMETER, `/`, `*` and
+/// `-`, a declared extent (1-D, 2-D, explicit lower bound), either operand
+/// of `**`, an EQUIVALENCE subscript and a CALL actual, which
+/// [`EXTREME_CALLEE`] adds to a subscript.
+const EXTREME_TEMPLATES: [&str; 17] = [
     "DO i = 1, 10\n a(i + @) = 1.0\nENDDO",
     "DO i = 1, 10\n a(-(i * @)) = 1.0\nENDDO",
     "DO i = @, 10\n a(i) = 1.0\nENDDO",
@@ -500,7 +502,24 @@ const EXTREME_TEMPLATES: [&str; 10] = [
     "DO i = 1, 10\n k = @ / (-1)\n a(k) = 1.0\nENDDO",
     "DO i = 1, 10\n a(i * @) = 1.0\nENDDO",
     "DO i = 1, 10\n a(@ - i) = 1.0\nENDDO",
+    "REAL b(@)\nDO i = 1, 10\n b(i) = 1.0\nENDDO",
+    "REAL b(@, 2)\nDO i = 1, 10\n b(i, 1) = 1.0\nENDDO",
+    "REAL b(@:10)\nDO i = 1, 10\n b(i) = 1.0\nENDDO",
+    "DO i = 1, 10\n a(i ** @) = 1.0\nENDDO",
+    "DO i = 1, 10\n a(@ ** i) = 1.0\nENDDO",
+    "REAL b(10)\nEQUIVALENCE (a(@), b(1))\nDO i = 1, 10\n b(i) = a(i)\nENDDO",
+    "CALL s(a, @)",
 ];
+
+/// Appended to every filled template: the callee of the CALL template.
+const EXTREME_CALLEE: &str = "      SUBROUTINE s(b, n)
+      INTEGER n, j
+      REAL b(10)
+      DO j = 1, 5
+        b(n + j) = 1.0
+      ENDDO
+      END
+";
 
 /// Every template filled with every extreme literal degrades soundly: a
 /// deterministic slice over the places a program's text puts integers.
@@ -514,7 +533,7 @@ fn extreme_literals_degrade_soundly() {
                 .map(|l| format!("      {l}\n"))
                 .collect();
             let src = format!(
-                "      PROGRAM t\n      INTEGER i, k, m\n      REAL a(10)\n{body}      END\n"
+                "      PROGRAM t\n      INTEGER i, k, m\n      REAL a(10)\n{body}      END\n{EXTREME_CALLEE}"
             );
             assert_degrades_soundly(template, &src);
         }
