@@ -19,6 +19,32 @@ pub use kernels::{
     synthetic_program, ContentKernel, Kernel, RangeKernel,
 };
 
+/// The 22 evaluation programs as `(name, source)`, in corpus order: the
+/// 12 Table 1/2 kernels, the 3 Fig. 1 kernels, the range kernels and
+/// their lint demo, the content kernels and their lint demo. The names
+/// are the benchmark corpus's.
+pub fn paper_programs() -> Vec<(String, &'static str)> {
+    let mut progs = Vec::new();
+    for (n, k) in kernels().iter().enumerate() {
+        progs.push((
+            format!("k{n:02}_{}", k.loop_label.replace('/', "_")),
+            k.source,
+        ));
+    }
+    for (tag, _, _, _, src) in fig1_kernels() {
+        progs.push((format!("fig{tag}"), src));
+    }
+    for k in range_kernels() {
+        progs.push((format!("range_{}", k.tag), k.source));
+    }
+    progs.push(("range_rdemo".to_string(), range_lint_demo()));
+    for k in content_kernels() {
+        progs.push((format!("content_{}", k.tag), k.source));
+    }
+    progs.push(("content_cdemo".to_string(), content_lint_demo()));
+    progs
+}
+
 /// Which techniques a loop needs, per Table 1 (`T1` symbolic, `T2` IF
 /// conditions, `T3` interprocedural).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]

@@ -9,12 +9,19 @@
 //! * `forall+content` — the ∀-extension and the array-content pass, with
 //!   the emission backend (the `"transform"` section).
 //!
+//! `tests/golden/budget_digests.txt` pins the 22 paper programs' reports
+//! (default profile, precision accounted) under four budget limits:
+//! `--range-budget 100`, `--range-budget 1000`, `--fuel 50` and
+//! `--fuel 200`. Each limit degrades the reports differently from the
+//! others and from the unlimited run, so a change to what the symbolic
+//! kernel charges the range oracle's budget or the propagation fuel
+//! shows up there.
+//!
 //! Any change to a verdict, a provenance line, a lint, a plan or a
 //! precision event shows up here. Regenerate after an intentional change
 //! with `UPDATE_GOLDEN=1 cargo test -p panorama --test report_golden`.
 
-use panorama::{driver, Options};
-use std::fmt::Write as _;
+use panorama::{driver, FuelLimits, Options};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[path = "generator.rs"]
@@ -23,6 +30,11 @@ mod generator;
 const GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/report_digests.txt"
+);
+
+const BUDGET_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/budget_digests.txt"
 );
 
 /// `exec_golden`'s synthetic shapes: `(n_routines, inner_size)`.
@@ -39,28 +51,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 
 /// The programs, named like the benchmark's corpus.
 fn programs() -> Vec<(String, String)> {
-    let mut progs = Vec::new();
-    for (n, k) in benchsuite::kernels().iter().enumerate() {
-        let name = format!("k{n:02}_{}", k.loop_label.replace('/', "_"));
-        progs.push((name, k.source.to_string()));
-    }
-    for (tag, _, _, _, src) in benchsuite::fig1_kernels() {
-        progs.push((format!("fig{tag}"), src.to_string()));
-    }
-    for k in benchsuite::range_kernels() {
-        progs.push((format!("range_{}", k.tag), k.source.to_string()));
-    }
-    progs.push((
-        "range_rdemo".to_string(),
-        benchsuite::range_lint_demo().to_string(),
-    ));
-    for k in benchsuite::content_kernels() {
-        progs.push((format!("content_{}", k.tag), k.source.to_string()));
-    }
-    progs.push((
-        "content_cdemo".to_string(),
-        benchsuite::content_lint_demo().to_string(),
-    ));
+    let mut progs: Vec<(String, String)> = benchsuite::paper_programs()
+        .into_iter()
+        .map(|(name, src)| (name, src.to_string()))
+        .collect();
     for (routines, inner) in SYNTH_SHAPES {
         let src = benchsuite::synthetic_program(routines, inner);
         progs.push((format!("synth_{routines}x{inner}"), src));
@@ -69,6 +63,18 @@ fn programs() -> Vec<(String, String)> {
         progs.push((format!("gen_{seed}"), generator::Gen::new(seed).program()));
     }
     progs
+}
+
+/// `name tag digest bytes` for the `--json` report of one request.
+fn digest_line(name: &str, tag: &str, req: &driver::Request<'_>) -> String {
+    let res = driver::run(req).unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
+    let report = serde_json::to_string_pretty(&res.json())
+        .unwrap_or_else(|e| panic!("{name}: report failed to render: {e}"));
+    format!(
+        "{name} {tag} {:016x} {}\n",
+        fnv64(report.as_bytes()),
+        report.len()
+    )
 }
 
 /// One line per profile: `name profile digest bytes`.
@@ -93,15 +99,7 @@ fn lines(name: &str, source: &str) -> String {
             precision: true,
             ..driver::Request::new(source)
         };
-        let res = driver::run(&req).unwrap_or_else(|e| panic!("{name}: analysis failed: {e}"));
-        let report = serde_json::to_string_pretty(&res.json())
-            .unwrap_or_else(|e| panic!("{name}: report failed to render: {e}"));
-        let _ = writeln!(
-            out,
-            "{name} {tag} {:016x} {}",
-            fnv64(report.as_bytes()),
-            report.len()
-        );
+        out.push_str(&digest_line(name, tag, &req));
     }
     out
 }
@@ -136,18 +134,74 @@ fn render() -> String {
     done.into_iter().map(|(_, text)| text).collect()
 }
 
-#[test]
-fn reports_match_the_golden_digests() {
-    let got = render();
+/// The budget-limited lines: every paper program under every limit.
+fn render_budgets() -> String {
+    let limits = [
+        (
+            "range-budget=100",
+            FuelLimits {
+                range_budget: Some(100),
+                ..FuelLimits::unlimited()
+            },
+        ),
+        (
+            "range-budget=1000",
+            FuelLimits {
+                range_budget: Some(1000),
+                ..FuelLimits::unlimited()
+            },
+        ),
+        (
+            "fuel=50",
+            FuelLimits {
+                steps: Some(50),
+                ..FuelLimits::unlimited()
+            },
+        ),
+        (
+            "fuel=200",
+            FuelLimits {
+                steps: Some(200),
+                ..FuelLimits::unlimited()
+            },
+        ),
+    ];
+    let mut out = String::new();
+    for (name, src) in benchsuite::paper_programs() {
+        for (tag, limits) in limits {
+            let req = driver::Request {
+                limits,
+                precision: true,
+                ..driver::Request::new(src)
+            };
+            out.push_str(&digest_line(&name, tag, &req));
+        }
+    }
+    out
+}
+
+/// Compares `got` with the golden at `path`, or rewrites it under
+/// `UPDATE_GOLDEN`.
+fn check_golden(path: &str, got: &str) {
     if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(GOLDEN, &got).unwrap();
+        std::fs::write(path, got).unwrap();
         return;
     }
-    let want = std::fs::read_to_string(GOLDEN)
-        .unwrap_or_else(|e| panic!("missing golden file {GOLDEN}: {e}"));
+    let want =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("missing golden file {path}: {e}"));
     assert_eq!(
         got, want,
-        "reports drifted from tests/golden/report_digests.txt; \
+        "reports drifted from {path}; \
          rerun with UPDATE_GOLDEN=1 if the change is intentional"
     );
+}
+
+#[test]
+fn reports_match_the_golden_digests() {
+    check_golden(GOLDEN, &render());
+}
+
+#[test]
+fn budget_limited_reports_match_the_golden_digests() {
+    check_golden(BUDGET_GOLDEN, &render_budgets());
 }
