@@ -313,8 +313,8 @@ fn expand_range(
     if cl >= 0 && cu >= 0 {
         // Monotonically nondecreasing bounds. Contiguity of consecutive
         // iterations: l(i + step) <= u(i) + 1, i.e. l + cl*step <= u + 1.
-        let shifted = r.lo.try_add(&Expr::from(cl.checked_mul(ctx.step)?))?;
-        let contiguous = prove_le(case, &shifted, &r.hi.try_add(&Expr::one())?);
+        let shifted = r.lo.try_add_const(cl.checked_mul(ctx.step)?)?;
+        let contiguous = prove_le(case, &shifted, &r.hi.try_add_const(1)?);
         if contiguous || cl == 0 {
             let nl = at(&r.lo, lo_e)?;
             let nh = at(&r.hi, hi_e)?;
@@ -324,8 +324,8 @@ fn expand_range(
     }
     if cl <= 0 && cu <= 0 {
         // Monotonically nonincreasing bounds.
-        let shifted = r.hi.try_add(&Expr::from(cu.checked_mul(ctx.step)?))?;
-        let contiguous = prove_le(case, &r.lo, &shifted.try_add(&Expr::one())?);
+        let shifted = r.hi.try_add_const(cu.checked_mul(ctx.step)?)?;
+        let contiguous = prove_le(case, &r.lo, &shifted.try_add_const(1)?);
         if contiguous || cu == 0 {
             let nl = at(&r.lo, hi_e)?;
             let nh = at(&r.hi, lo_e)?;

@@ -104,7 +104,7 @@ impl Atom {
     /// `a <= b` as an atom (integers: `a - b - 1 < 0`); `None` on
     /// overflow.
     pub fn le(a: Expr, b: Expr) -> Option<Atom> {
-        let e = a.try_sub(&b)?.try_sub(&Expr::one())?;
+        let e = a.try_sub(&b)?.try_add_const(-1)?;
         Some(Atom::Rel(e, RelOp::Lt).canon())
     }
 
@@ -151,7 +151,7 @@ impl Atom {
     pub fn complement(&self) -> Option<Atom> {
         Some(match self {
             // ¬(e < 0) == (e >= 0) == (-e - 1 < 0)
-            Atom::Rel(e, RelOp::Lt) => Atom::Rel(e.try_negate()?.try_sub(&Expr::one())?, RelOp::Lt),
+            Atom::Rel(e, RelOp::Lt) => Atom::Rel(e.try_negate()?.try_add_const(-1)?, RelOp::Lt),
             Atom::Rel(e, RelOp::Eq) => Atom::Rel(e.clone(), RelOp::Ne),
             Atom::Rel(e, RelOp::Ne) => Atom::Rel(e.clone(), RelOp::Eq),
             Atom::Bool(v, b) => Atom::Bool(v.clone(), !b),

@@ -60,9 +60,9 @@ pub fn bounds_on(pred: &Pred, var: &str) -> Option<VarBounds> {
                 let (c, rest) = e.affine_decompose(var)?;
                 match c {
                     // var + rest < 0  ⇔  var <= -rest - 1
-                    1 => his.push(rest.try_negate()?.try_sub(&Expr::one())?),
+                    1 => his.push(rest.try_negate()?.try_add_const(-1)?),
                     // -var + rest < 0  ⇔  var >= rest + 1
-                    -1 => los.push(rest.try_add(&Expr::one())?),
+                    -1 => los.push(rest.try_add_const(1)?),
                     _ => return None,
                 }
             }

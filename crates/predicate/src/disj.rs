@@ -68,27 +68,29 @@ impl Disj {
     /// otherwise the simplified clause (possibly empty = false).
     pub fn simplified(&self) -> Option<Disj> {
         // Drop constant-false atoms; detect constant-true.
-        let mut kept: Vec<Atom> = Vec::with_capacity(self.atoms.len());
+        let mut kept: Vec<&Atom> = Vec::with_capacity(self.atoms.len());
         for a in &self.atoms {
             match a.const_value() {
                 Some(true) => return None,
                 Some(false) => {}
-                None => kept.push(a.clone()),
+                None => kept.push(a),
             }
         }
         // Tautology: a ∨ b where ¬a ⇒ b (covers exact complements).
-        for (i, a) in kept.iter().enumerate() {
+        for (i, &a) in kept.iter().enumerate() {
             let a = Complemented::new(a);
-            for (j, b) in kept.iter().enumerate() {
+            for (j, &b) in kept.iter().enumerate() {
                 if i != j && a.complement().is_some_and(|c| atom_implies(c, b)) {
                     return None;
                 }
             }
         }
-        // Absorption: drop a if a ⇒ b for some other kept atom b.
+        // Absorption: drop a if a ⇒ b for some other kept atom b. What is
+        // left is a subsequence of the sorted, deduplicated atoms, so it
+        // is sorted and deduplicated too.
         let mut out: Vec<Atom> = Vec::with_capacity(kept.len());
-        'outer: for (i, a) in kept.iter().enumerate() {
-            for (j, b) in kept.iter().enumerate() {
+        'outer: for (i, &a) in kept.iter().enumerate() {
+            for (j, &b) in kept.iter().enumerate() {
                 if i == j {
                     continue;
                 }
@@ -105,8 +107,6 @@ impl Disj {
             }
             out.push(a.clone());
         }
-        out.sort();
-        out.dedup();
         Some(Disj { atoms: out })
     }
 

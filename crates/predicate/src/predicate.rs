@@ -314,7 +314,7 @@ fn with_derived_units(disjs: &[Disj]) -> Vec<Disj> {
     for i in 0..units.len() {
         for j in (i + 1)..units.len() {
             if let Some(sum) = units[i].try_add(units[j]) {
-                if let Some(s1) = sum.try_add(&sym::Expr::one()) {
+                if let Some(s1) = sum.try_add_const(1) {
                     out.push(Disj::unit(Atom::Rel(s1, RelOp::Lt)));
                 }
             }
@@ -364,45 +364,44 @@ fn simplify_cnf(first: &[Disj], second: &[Disj], unknown: bool) -> Pred {
         }
         // Unit resolution: a unit clause refutes contradictory atoms inside
         // other clauses (the paper's "conjunction of two disjunctions"
-        // evaluation). An emptied clause makes the predicate False.
+        // evaluation). An emptied clause makes the predicate False. Each
+        // atom is tested once, in order; only the clauses that lose an
+        // atom are rebuilt.
         if !units.is_empty() {
-            let mut resolved = false;
-            let mut next = Vec::with_capacity(clauses.len());
-            for d in &clauses {
+            let refuted = |a: &Atom| {
+                let a = Complemented::new(a);
+                units.iter().any(|u| u.contradicts(&a))
+            };
+            let mut resolved: Vec<(usize, Disj)> = Vec::new();
+            for (k, d) in clauses.iter().enumerate() {
                 if d.as_unit().is_some() {
-                    next.push(d.clone());
                     continue;
                 }
-                let kept: Vec<Atom> = d
-                    .atoms()
-                    .iter()
-                    .filter(|a| {
-                        let a = Complemented::new(a);
-                        !units.iter().any(|u| u.contradicts(&a))
-                    })
-                    .cloned()
-                    .collect();
-                if kept.len() != d.atoms().len() {
-                    resolved = true;
-                    if kept.is_empty() {
-                        return Pred::False;
-                    }
-                    next.push(Disj::from_atoms(kept));
-                } else {
-                    next.push(d.clone());
+                let atoms = d.atoms();
+                let Some(first) = atoms.iter().position(refuted) else {
+                    continue;
+                };
+                let mut kept = atoms[..first].to_vec();
+                kept.extend(atoms[first + 1..].iter().filter(|a| !refuted(a)).cloned());
+                if kept.is_empty() {
+                    return Pred::False;
                 }
+                resolved.push((k, Disj::from_atoms(kept)));
             }
-            if resolved {
-                clauses = next;
+            if !resolved.is_empty() {
+                for (k, d) in resolved {
+                    clauses[k] = d;
+                }
                 clauses.sort();
                 clauses.dedup();
             }
         }
         // Unit equality substitution: a unit clause `v ± rest = 0` rewrites
         // `v` inside the *other* clauses (the defining clause is kept), so
-        // chains like `i = 5 ∧ n = 7 ∧ i > n` collapse to False.
+        // chains like `i = 5 ∧ n = 7 ∧ i > n` collapse to False. Clauses
+        // that do not mention `v` stay where they are, uncopied.
         {
-            let mut defs: Vec<(usize, String, sym::Expr)> = Vec::new();
+            let mut defs: Vec<(usize, sym::Name, sym::Expr)> = Vec::new();
             for (k, d) in clauses.iter().enumerate() {
                 if let Some(Atom::Rel(e, RelOp::Eq)) = d.as_unit() {
                     for name in e.vars() {
@@ -413,7 +412,7 @@ fn simplify_cnf(first: &[Disj], second: &[Disj], unknown: bool) -> Pred {
                             _ => None,
                         };
                         if let Some(val) = val {
-                            defs.push((k, name.as_str().to_string(), val));
+                            defs.push((k, name, val));
                             break;
                         }
                     }
@@ -424,28 +423,40 @@ fn simplify_cnf(first: &[Disj], second: &[Disj], unknown: bool) -> Pred {
             }
             let mut subst_changed = false;
             for (def_idx, var, val) in &defs {
+                let var = var.as_str();
                 if val.contains_var(var) {
                     continue;
                 }
-                let mut next = Vec::with_capacity(clauses.len());
-                for (k, d) in clauses.iter().enumerate() {
-                    if k == *def_idx || !d.contains_var(var) {
-                        next.push(d.clone());
-                        continue;
+                // Positions are those before this definition's pass, as
+                // `def_idx` counts them; a clause that becomes a tautology
+                // is dropped.
+                let mut k = 0;
+                let mut falsified = false;
+                clauses.retain_mut(|d| {
+                    let here = k;
+                    k += 1;
+                    if falsified || here == *def_idx || !d.contains_var(var) {
+                        return true;
                     }
-                    match d.try_subst_var(var, val) {
-                        Some(nd) => {
-                            subst_changed = true;
-                            match nd.simplified() {
-                                None => {} // became a tautology
-                                Some(s) if s.is_false_clause() => return Pred::False,
-                                Some(s) => next.push(s),
-                            }
+                    let Some(nd) = d.try_subst_var(var, val) else {
+                        return true;
+                    };
+                    subst_changed = true;
+                    match nd.simplified() {
+                        None => false,
+                        Some(s) if s.is_false_clause() => {
+                            falsified = true;
+                            true
                         }
-                        None => next.push(d.clone()),
+                        Some(s) => {
+                            *d = s;
+                            true
+                        }
                     }
+                });
+                if falsified {
+                    return Pred::False;
                 }
-                clauses = next;
             }
             if subst_changed {
                 clauses.sort();
@@ -521,6 +532,51 @@ mod tests {
 
     fn e(s: &str) -> Expr {
         parse_expr(s).unwrap()
+    }
+
+    /// `(i < n) ∧ (a < m ∨ i >= n ∨ k < 3)` under a counting range
+    /// oracle. The unit `i < n` refutes the clause's second atom, so unit
+    /// resolution rebuilds the clause as `a < m ∨ k < 3`.
+    #[test]
+    fn unit_resolution_tests_each_atom_once() {
+        let seen: std::rc::Rc<std::cell::RefCell<Vec<String>>> = Default::default();
+        let log = std::rc::Rc::clone(&seen);
+        let _guard = sym::bounds::OracleGuard::install(Box::new(move |d: &Expr| {
+            log.borrow_mut().push(d.to_string());
+            None
+        }));
+        let clause = Disj::from_atoms([
+            Atom::lt(e("a"), e("m")).unwrap(),
+            Atom::ge(e("i"), e("n")).unwrap(),
+            Atom::lt(e("k"), e("3")).unwrap(),
+        ]);
+        assert_eq!(clause.atoms()[1], Atom::ge(e("i"), e("n")).unwrap());
+        let unit = Disj::unit(Atom::lt(e("i"), e("n")).unwrap());
+        let p = Pred::from_disjs([unit, clause], false);
+        let consults = seen.take();
+        let want = Pred::from_disjs(
+            [
+                Disj::unit(Atom::lt(e("i"), e("n")).unwrap()),
+                Disj::from_atoms([
+                    Atom::lt(e("a"), e("m")).unwrap(),
+                    Atom::lt(e("k"), e("3")).unwrap(),
+                ]),
+            ],
+            false,
+        );
+        assert_eq!(p, want);
+        // Pinned from the simplifier that rebuilt every clause: each atom
+        // of the clause is tested once, in order. Testing an atom twice
+        // adds its differences again; testing out of order moves them.
+        let pinned = concat!(
+            "i - n, a - m, -i + n - 1, k - 3, -a + m - 1, -i + n - 1, ",
+            "-a + m - 1, k - 3, i - n, a - m, i - n, k - 3, -k + 2, a - m, ",
+            "-k + 2, -i + n - 1, a - m, -i + n - 1, a - m, k - 3, -i + n - 1, ",
+            "a - m, -i + n - 1, k - 3, k - 3, a - m, k - 3, -i + n - 1, i - n, ",
+            "-a + m - 1, a - m, -i + n - 1, i - n, -k + 2, k - 3, -i + n - 1, ",
+            "a - m, i - n, i - n, a - m, i - n, k - 3",
+        );
+        assert_eq!(consults.join(", "), pinned);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::env::Env;
 use crate::monomial::{Monomial, Name};
 use crate::term::Term;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -95,20 +96,69 @@ impl Expr {
 
     /// Checked addition.
     pub fn try_add(&self, other: &Expr) -> Option<Expr> {
-        Expr::try_from_terms(self.terms.iter().chain(other.terms.iter()).cloned())
+        self.try_merge(other, Some)
     }
 
     /// Checked subtraction.
     pub fn try_sub(&self, other: &Expr) -> Option<Expr> {
-        let negated = other
-            .terms
-            .iter()
-            .map(|t| t.coef.checked_neg().map(|c| Term::new(c, t.mono.clone())));
-        let mut all: Vec<Term> = self.terms.clone();
-        for t in negated {
-            all.push(t?);
+        self.try_merge(other, i64::checked_neg)
+    }
+
+    /// Checked addition of the integer constant `c`: `self + c`.
+    pub fn try_add_const(&self, c: i64) -> Option<Expr> {
+        if c == 0 {
+            return Some(self.clone());
         }
-        Expr::try_from_terms(all)
+        // The constant monomial sorts last, so the constant term, if
+        // any, is the last term.
+        let (symbolic, k) = match self.terms.split_last() {
+            Some((t, rest)) if t.mono.is_one() => (rest, t.coef.checked_add(c)?),
+            _ => (self.terms.as_slice(), c),
+        };
+        let mut terms = Vec::with_capacity(symbolic.len() + 1);
+        terms.extend_from_slice(symbolic);
+        if k != 0 {
+            terms.push(Term::constant(k));
+        }
+        Some(Expr { terms })
+    }
+
+    /// `self + sign(other)` in one pass over the two canonical term lists,
+    /// where `sign` maps each coefficient of `other` (`checked_neg` for a
+    /// difference). The result is that of [`Expr::try_from_terms`] over
+    /// the concatenated terms: every term of `other` is mapped, so an
+    /// overflow anywhere is `None`.
+    fn try_merge(&self, other: &Expr, sign: fn(i64) -> Option<i64>) -> Option<Expr> {
+        let (xs, ys) = (&self.terms, &other.terms);
+        let mut out = Vec::with_capacity(xs.len() + ys.len());
+        let (mut i, mut j) = (0, 0);
+        loop {
+            let order = match (xs.get(i), ys.get(j)) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(x), Some(y)) => x.mono.cmp(&y.mono),
+            };
+            match order {
+                Ordering::Less => {
+                    out.push(xs[i].clone());
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(Term::new(sign(ys[j].coef)?, ys[j].mono.clone()));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    let c = xs[i].coef.checked_add(sign(ys[j].coef)?)?;
+                    if c != 0 {
+                        out.push(Term::new(c, xs[i].mono.clone()));
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        Some(Expr { terms: out })
     }
 
     /// Checked multiplication.

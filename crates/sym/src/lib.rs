@@ -27,13 +27,16 @@
 //! walking the two canonical term lists side by side: whether `a - b` (or
 //! `a + b`) is a constant needs no new expression. The difference is built
 //! only when it stays symbolic and an installed range oracle
-//! ([`bounds`]) must see it.
+//! ([`bounds`]) must see it. [`Expr::try_add`] and [`Expr::try_sub`] are
+//! the same walk, building the result as they go: one allocation, no
+//! sort.
 //!
 //! # Overflow
 //!
 //! There is no panicking arithmetic. Every operation that can overflow
 //! an `i64` coefficient returns `Option` — [`Expr::try_add`],
-//! [`Expr::try_sub`], [`Expr::try_mul`], [`Expr::try_scale`],
+//! [`Expr::try_sub`], [`Expr::try_add_const`], [`Expr::try_mul`],
+//! [`Expr::try_scale`],
 //! [`Expr::try_negate`], [`Expr::try_subst_var`],
 //! [`Expr::try_from_terms`], [`Expr::div_exact`] — and [`parse_expr`]
 //! returns a [`ParseError`]. `Expr` implements no arithmetic operator.

@@ -1,9 +1,10 @@
 //! Variable names and monomials (ordered products of variable powers).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An interned-ish variable name. Cheap to clone (`Arc<str>`), ordered and
@@ -67,24 +68,47 @@ impl Serialize for Name {
 ///
 /// Invariants: factors are sorted by [`Name`], every power is `>= 1`, and no
 /// variable appears twice.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+///
+/// The constant and single-variable monomials, which are most of them,
+/// keep their factor inline; only products of two or more variables use
+/// the heap. Equality, order, hashing, `Debug` and the serialized form
+/// all read the factor slice, so they are those of a `Vec` of factors.
+#[derive(Clone)]
 pub struct Monomial {
-    factors: Vec<(Name, u32)>,
+    factors: Factors,
+}
+
+/// The factor storage of a [`Monomial`]; `Many` holds at least two.
+#[derive(Clone)]
+enum Factors {
+    One,
+    Single([(Name, u32); 1]),
+    Many(Vec<(Name, u32)>),
 }
 
 impl Monomial {
     /// The constant monomial (empty product).
     pub fn one() -> Self {
         Monomial {
-            factors: Vec::new(),
+            factors: Factors::One,
         }
     }
 
     /// A single variable to the first power.
     pub fn var(name: impl Into<Name>) -> Self {
         Monomial {
-            factors: vec![(name.into(), 1)],
+            factors: Factors::Single([(name.into(), 1)]),
         }
+    }
+
+    /// The monomial of already sorted, merged, nonzero factors.
+    fn from_sorted(mut factors: Vec<(Name, u32)>) -> Self {
+        let factors = match factors.len() {
+            0 => Factors::One,
+            1 => Factors::Single([factors.pop().expect("one factor")]),
+            _ => Factors::Many(factors),
+        };
+        Monomial { factors }
     }
 
     /// Builds a monomial from `(name, power)` pairs; merges duplicates and
@@ -105,75 +129,137 @@ impl Monomial {
                 _ => merged.push((n, p)),
             }
         }
-        Monomial { factors: merged }
+        Monomial::from_sorted(merged)
     }
 
     /// `true` iff this is the constant monomial.
     pub fn is_one(&self) -> bool {
-        self.factors.is_empty()
+        matches!(self.factors, Factors::One)
     }
 
     /// Total degree — the sum of all powers.
     pub fn degree(&self) -> u32 {
-        self.factors.iter().map(|&(_, p)| p).sum()
+        self.factors().iter().map(|&(_, p)| p).sum()
     }
 
     /// Number of *distinct* variables.
     pub fn num_vars(&self) -> usize {
-        self.factors.len()
+        self.factors().len()
     }
 
     /// The sorted `(name, power)` factors.
     pub fn factors(&self) -> &[(Name, u32)] {
-        &self.factors
+        match &self.factors {
+            Factors::One => &[],
+            Factors::Single(f) => f,
+            Factors::Many(fs) => fs,
+        }
     }
 
     /// Does the monomial mention `name`?
     pub fn contains(&self, name: &str) -> bool {
-        self.factors.iter().any(|(n, _)| n.as_str() == name)
+        self.factors().iter().any(|(n, _)| n.as_str() == name)
     }
 
     /// The power of `name` in this monomial (0 if absent).
     pub fn power_of(&self, name: &str) -> u32 {
-        self.factors
+        self.factors()
             .iter()
             .find(|(n, _)| n.as_str() == name)
             .map_or(0, |&(_, p)| p)
     }
 
-    /// Product of two monomials.
+    /// Product of two monomials: a merge of the two sorted factor lists.
     pub fn mul(&self, other: &Monomial) -> Monomial {
-        Monomial::from_factors(
-            self.factors
-                .iter()
-                .chain(other.factors.iter())
-                .map(|(n, p)| (n.clone(), *p)),
-        )
+        let (xs, ys) = (self.factors(), other.factors());
+        match (xs, ys) {
+            ([], _) => return other.clone(),
+            (_, []) => return self.clone(),
+            ([(a, p)], [(b, q)]) if a == b => {
+                return Monomial {
+                    factors: Factors::Single([(a.clone(), p + q)]),
+                }
+            }
+            _ => {}
+        }
+        let mut out = Vec::with_capacity(xs.len() + ys.len());
+        let (mut i, mut j) = (0, 0);
+        while i < xs.len() && j < ys.len() {
+            let ((a, p), (b, q)) = (&xs[i], &ys[j]);
+            match a.cmp(b) {
+                Ordering::Less => {
+                    out.push((a.clone(), *p));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push((b.clone(), *q));
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a.clone(), p + q));
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&xs[i..]);
+        out.extend_from_slice(&ys[j..]);
+        Monomial::from_sorted(out)
     }
 
     /// Removes `name` entirely, returning the remaining monomial and the
     /// removed power.
     pub fn without(&self, name: &str) -> (Monomial, u32) {
-        let mut power = 0;
-        let factors = self
-            .factors
-            .iter()
-            .filter(|(n, p)| {
-                if n.as_str() == name {
-                    power = *p;
-                    false
-                } else {
-                    true
-                }
-            })
-            .cloned()
-            .collect();
-        (Monomial { factors }, power)
+        let factors = self.factors();
+        let Some(k) = factors.iter().position(|(n, _)| n.as_str() == name) else {
+            return (self.clone(), 0);
+        };
+        let rest = match factors {
+            [_] => Factors::One,
+            [a, b] => Factors::Single([if k == 0 { b.clone() } else { a.clone() }]),
+            _ => {
+                let mut v = factors.to_vec();
+                v.remove(k);
+                Factors::Many(v)
+            }
+        };
+        (Monomial { factors: rest }, factors[k].1)
     }
 
     /// Iterates over the variable names.
     pub fn var_names(&self) -> impl Iterator<Item = &Name> {
-        self.factors.iter().map(|(n, _)| n)
+        self.factors().iter().map(|(n, _)| n)
+    }
+}
+
+impl PartialEq for Monomial {
+    fn eq(&self, other: &Self) -> bool {
+        self.factors() == other.factors()
+    }
+}
+
+impl Eq for Monomial {}
+
+impl Hash for Monomial {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.factors().hash(state);
+    }
+}
+
+impl fmt::Debug for Monomial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Monomial")
+            .field("factors", &self.factors())
+            .finish()
+    }
+}
+
+impl Serialize for Monomial {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Object(vec![(
+            "factors".to_string(),
+            self.factors().to_json_value(),
+        )])
     }
 }
 
@@ -197,7 +283,7 @@ impl Ord for Monomial {
         other
             .degree()
             .cmp(&self.degree())
-            .then_with(|| self.factors.cmp(&other.factors))
+            .then_with(|| self.factors().cmp(other.factors()))
     }
 }
 
@@ -207,7 +293,7 @@ impl fmt::Display for Monomial {
             return f.write_str("1");
         }
         let mut first = true;
-        for (n, p) in &self.factors {
+        for (n, p) in self.factors() {
             if !first {
                 f.write_str("*")?;
             }

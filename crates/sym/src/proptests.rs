@@ -7,6 +7,8 @@ use crate::{
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 const VARS: [&str; 4] = ["i", "j", "n", "m"];
@@ -92,6 +94,99 @@ fn reference_compare(a: &Expr, b: &Expr) -> SymOrdering {
         Some(_) => SymOrdering::Greater,
         None => crate::bounds::consult(a, b, &d),
     }
+}
+
+/// `a + b` as it was defined before the merge: concatenate the term
+/// lists and normalize.
+fn concat_add(a: &Expr, b: &Expr) -> Option<Expr> {
+    Expr::try_from_terms(a.terms().iter().chain(b.terms()).cloned())
+}
+
+/// `a - b` as it was defined before the merge: negate every term of `b`
+/// (any overflow is `None`), concatenate and normalize.
+fn concat_sub(a: &Expr, b: &Expr) -> Option<Expr> {
+    let negated = b
+        .terms()
+        .iter()
+        .map(|t| Some(Term::new(t.coef.checked_neg()?, t.mono.clone())))
+        .collect::<Option<Vec<_>>>()?;
+    Expr::try_from_terms(a.terms().iter().cloned().chain(negated))
+}
+
+/// The `Vec`-backed monomial the inline storage replaced: its derived
+/// `Eq`, `Hash`, `Debug` and `Serialize`, and its order.
+mod vec_backed {
+    use crate::Name;
+    use std::cmp::Ordering;
+
+    #[derive(Clone, PartialEq, Eq, Hash, Debug, serde::Serialize)]
+    pub struct Monomial {
+        factors: Vec<(Name, u32)>,
+    }
+
+    impl Monomial {
+        pub fn from_factors(factors: impl IntoIterator<Item = (Name, u32)>) -> Self {
+            let mut v: Vec<(Name, u32)> = factors.into_iter().filter(|f| f.1 != 0).collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut merged: Vec<(Name, u32)> = Vec::with_capacity(v.len());
+            for (n, p) in v {
+                match merged.last_mut() {
+                    Some((ln, lp)) if *ln == n => *lp += p,
+                    _ => merged.push((n, p)),
+                }
+            }
+            Monomial { factors: merged }
+        }
+
+        pub fn factors(&self) -> &[(Name, u32)] {
+            &self.factors
+        }
+
+        pub fn mul(&self, other: &Monomial) -> Monomial {
+            Monomial::from_factors(self.factors.iter().chain(&other.factors).cloned())
+        }
+
+        pub fn without(&self, name: &str) -> (Monomial, u32) {
+            let power = self
+                .factors
+                .iter()
+                .find(|f| f.0.as_str() == name)
+                .map_or(0, |f| f.1);
+            let rest = self
+                .factors
+                .iter()
+                .filter(|f| f.0.as_str() != name)
+                .cloned();
+            (Monomial::from_factors(rest), power)
+        }
+
+        pub fn cmp(&self, other: &Monomial) -> Ordering {
+            let degree = |m: &Monomial| m.factors.iter().map(|f| f.1).sum::<u32>();
+            match (self.factors.is_empty(), other.factors.is_empty()) {
+                (true, true) => Ordering::Equal,
+                (true, false) => Ordering::Greater,
+                (false, true) => Ordering::Less,
+                _ => degree(other)
+                    .cmp(&degree(self))
+                    .then_with(|| self.factors.cmp(&other.factors)),
+            }
+        }
+    }
+}
+
+/// Up to three `(name, power)` factors, duplicates and zero powers
+/// included, so monomials of 0, 1, 2 and 3 variables all occur.
+fn arb_factors() -> impl Strategy<Value = Vec<(Name, u32)>> {
+    proptest::collection::vec(
+        (0usize..VARS.len(), 0u32..3).prop_map(|(k, p)| (Name::new(VARS[k]), p)),
+        0..4,
+    )
+}
+
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
 }
 
 fn arb_env() -> impl Strategy<Value = Env> {
@@ -230,5 +325,45 @@ proptest! {
         prop_assert_eq!(walked, built);
         prop_assert_eq!(walked_seen, std::mem::take(&mut *seen.borrow_mut()));
         prop_assert_eq!(walked_log, take_decisions());
+    }
+
+    /// The one-pass merges answer exactly what concatenation and
+    /// normalization did, overflow included.
+    #[test]
+    fn merged_add_sub_match_concatenation((a, b) in arb_pair()) {
+        prop_assert_eq!(a.try_add(&b), concat_add(&a, &b));
+        prop_assert_eq!(b.try_add(&a), concat_add(&b, &a));
+        prop_assert_eq!(a.try_sub(&b), concat_sub(&a, &b));
+        prop_assert_eq!(b.try_sub(&a), concat_sub(&b, &a));
+        prop_assert_eq!(a.try_sub(&a), concat_sub(&a, &a));
+    }
+
+    /// Adding a constant is adding its expression.
+    #[test]
+    fn add_const_matches_add((a, _) in arb_pair(), c in arb_coef()) {
+        prop_assert_eq!(a.try_add_const(c), a.try_add(&Expr::from(c)));
+    }
+
+    /// Inline and `Vec`-backed monomials agree on equality, order, hash,
+    /// `Debug`, the serialized form, products and factor removal.
+    #[test]
+    fn inline_monomials_behave_like_vec_backed(fa in arb_factors(), fb in arb_factors()) {
+        let (a, b) = (Monomial::from_factors(fa.clone()), Monomial::from_factors(fb.clone()));
+        let (va, vb) = (vec_backed::Monomial::from_factors(fa), vec_backed::Monomial::from_factors(fb));
+        prop_assert_eq!(a.factors(), va.factors());
+        prop_assert_eq!(a == b, va == vb);
+        prop_assert_eq!(a.cmp(&b), va.cmp(&vb));
+        prop_assert_eq!(hash_of(&a), hash_of(&va));
+        prop_assert_eq!(format!("{a:?}"), format!("{va:?}"));
+        prop_assert_eq!(
+            serde::Serialize::to_json_value(&a),
+            serde::Serialize::to_json_value(&va)
+        );
+        let (ab, vab) = (a.mul(&b), va.mul(&vb));
+        prop_assert_eq!(ab.factors(), vab.factors());
+        let ((rest, p), (vrest, vp)) = (a.without("i"), va.without("i"));
+        prop_assert_eq!(rest.factors(), vrest.factors());
+        prop_assert_eq!(p, vp);
+        prop_assert_eq!(rest.is_one(), vrest.factors().is_empty());
     }
 }
