@@ -427,9 +427,9 @@ fn simplify_cnf(first: &[Disj], second: &[Disj], unknown: bool) -> Pred {
                 if val.contains_var(var) {
                     continue;
                 }
-                // Positions are those before this definition's pass, as
-                // `def_idx` counts them; a clause that becomes a tautology
-                // is dropped.
+                // `here` is a clause's position when this definition's
+                // pass starts; a clause that becomes a tautology is
+                // dropped.
                 let mut k = 0;
                 let mut falsified = false;
                 clauses.retain_mut(|d| {
